@@ -38,7 +38,6 @@ from .dsl import (  # noqa: F401
 from .lowering import (  # noqa: F401
     ContextSpec,
     Fsm,
-    Layout,
     LoweringError,
     compute_context,
     fsm_dump,
@@ -50,7 +49,6 @@ from .lowering import (  # noqa: F401
 from .codegen import (  # noqa: F401
     CodegenError,
     SourceText,
-    emit_context,
     emit_dynamic,
     emit_hybrid,
     emit_routine,

@@ -4,8 +4,7 @@ A bench run always executes the sequential baseline first (its results
 double as the expected values), then each requested scheduling policy,
 and fails loudly if any policy disagrees with the baseline on any
 query.  Rows are deterministic in (kernel, seed, queries, elements):
-the checksum folds every result in query order and does not depend on
-thread count.
+the checksum folds every result in query order.
 
 Python cannot overlap cache misses, so the throughput columns here
 measure scheduling overhead, not the memory-level parallelism the
@@ -19,7 +18,6 @@ import csv
 import io
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -54,7 +52,6 @@ CSV_COLUMNS = (
     "variant",
     "policy",
     "width",
-    "threads",
     "seed",
     "queries",
     "ops_per_sec",
@@ -78,14 +75,12 @@ class BenchConfig:
     kernel: str = "all"
     policies: tuple[str, ...] = ("simplest",)
     width: int = 48
-    threads: int = 1
     seed: int = 1
     queries: int = 100_000
     elements: int | None = None
     size_bytes: int | None = None
     select: str = "arith"
     limit: int = 8
-    verbose: bool = False
 
     def __post_init__(self) -> None:
         if self.kernel != "all" and self.kernel not in KERNELS:
@@ -98,8 +93,6 @@ class BenchConfig:
             raise ConfigError(f"unknown policies: {', '.join(bad)}")
         if self.width < 1:
             raise ConfigError(f"width must be >= 1, got {self.width}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.queries < 1:
             raise ConfigError(f"queries must be >= 1, got {self.queries}")
         if self.elements is not None and self.elements < 1:
@@ -120,7 +113,6 @@ class BenchRow:
     variant: str
     policy: str
     width: int
-    threads: int
     seed: int
     queries: int
     ops_per_sec: float
@@ -239,38 +231,6 @@ def _policy_runner(
     raise ConfigError(f"unknown policy {policy!r}")
 
 
-def _timed_run(
-    cfg: BenchConfig, runner: Callable[[list[tuple]], list[int]],
-    factory: Callable[[], Callable[[list[tuple]], list[int]]],
-    queries: list[tuple],
-) -> tuple[list[int], int]:
-    """Run the query phase, split across cfg.threads, and time the wall."""
-    if cfg.threads == 1:
-        t0 = time.perf_counter_ns()
-        results = runner(queries)
-        return results, time.perf_counter_ns() - t0
-    chunk = (len(queries) + cfg.threads - 1) // cfg.threads
-    slices = [queries[i:i + chunk] for i in range(0, len(queries), chunk)]
-    runners = [runner] + [factory() for _ in slices[1:]]
-    outs: list[list[int] | None] = [None] * len(slices)
-
-    def work(ix: int) -> None:
-        outs[ix] = runners[ix](slices[ix])
-
-    workers = [threading.Thread(target=work, args=(ix,)) for ix in range(len(slices))]
-    t0 = time.perf_counter_ns()
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    elapsed = time.perf_counter_ns() - t0
-    results = []
-    for o in outs:
-        assert o is not None
-        results.extend(o)
-    return results, elapsed
-
-
 def run_bench(cfg: BenchConfig) -> BenchReport:
     """Run baseline plus requested policies; verify; produce rows."""
     report = BenchReport()
@@ -293,13 +253,14 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         ]
         expected: list[int] | None = None
         for policy in policies:
-            make = lambda: _policy_runner(cfg, k, policy, shared)  # noqa: E731
-            runner = make()
+            runner = _policy_runner(cfg, k, policy, shared)
             t0 = time.perf_counter_ns()
             if warmup:
                 runner(warmup)
             report.phases_ns[f"{name}:{policy}:warmup"] = time.perf_counter_ns() - t0
-            results, elapsed = _timed_run(cfg, runner, make, queries)
+            t0 = time.perf_counter_ns()
+            results = runner(queries)
+            elapsed = time.perf_counter_ns() - t0
             if policy == "sequential":
                 expected = results
             elif results != expected:
@@ -314,7 +275,6 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
                     variant="sequential" if policy == "sequential" else "interleaved",
                     policy="-" if policy == "sequential" else policy,
                     width=1 if policy == "sequential" else cfg.width,
-                    threads=cfg.threads,
                     seed=cfg.seed,
                     queries=len(queries),
                     ops_per_sec=len(queries) / (elapsed / 1e9) if elapsed else 0.0,
@@ -340,29 +300,16 @@ def rows_to_json(rows: list[BenchRow]) -> str:
     return json.dumps([r.as_dict() for r in rows], indent=2) + "\n"
 
 
-def selftest(verbose: bool = False) -> list[str]:
+def selftest() -> list[str]:
     """Small equivalence pass over every kernel and applicable policy.
 
     Returns a list of failure messages; empty means healthy.
+    ``run_bench`` raises on the first result that disagrees with the
+    baseline, so a clean run is the whole check.
     """
-    failures: list[str] = []
-    cfg = BenchConfig(
-        kernel="all",
-        policies=POLICIES,
-        width=8,
-        queries=512,
-        elements=512,
-        verbose=verbose,
-    )
+    cfg = BenchConfig(kernel="all", policies=POLICIES, width=8, queries=512, elements=512)
     try:
-        report = run_bench(cfg)
+        run_bench(cfg)
     except (EquivalenceError, ConfigError) as e:
         return [str(e)]
-    seq = {r.kernel: r.checksum for r in report.rows if r.variant == "sequential"}
-    for r in report.rows:
-        if r.variant == "interleaved" and r.checksum != seq[r.kernel]:
-            failures.append(
-                f"{r.kernel}/{r.policy}: checksum {r.checksum:#x}"
-                f" != sequential {seq[r.kernel]:#x}"
-            )
-    return failures
+    return []

@@ -20,16 +20,9 @@ from .bench import (
     run_bench,
     selftest,
 )
-from .codegen import (
-    CodegenError,
-    emit_context,
-    emit_dynamic,
-    emit_hybrid,
-    emit_routine,
-    emit_static,
-)
+from .codegen import CodegenError, emit_dynamic, emit_hybrid, emit_routine, emit_static
 from .kernels import KERNELS
-from .lowering import Layout, LoweringError, fsm_dump, split_stages
+from .lowering import LoweringError, fsm_dump, split_stages
 
 __all__ = ["main"]
 
@@ -64,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scheduling policy, 'all', or 'none' for baseline only",
     )
     b.add_argument("--width", type=int, default=48)
-    b.add_argument("--threads", type=int, default=1)
     b.add_argument("--seed", type=int, default=1)
     b.add_argument("--queries", type=int, default=100_000)
     b.add_argument("--elements", type=int, default=None)
@@ -87,16 +79,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument(
         "--emit",
-        choices=("routine", "dynamic", "static", "hybrid", "context", "fsm"),
+        choices=("routine", "dynamic", "static", "hybrid", "fsm"),
         default="dynamic",
     )
     g.add_argument("--width", type=int, default=8)
-    g.add_argument("--layout", choices=("aos", "soa"), default="aos")
     g.add_argument("--select", choices=("arith", "ternary"), default="arith")
     g.add_argument("-o", "--output", default=None)
 
-    s = sub.add_parser("selftest", help="small equivalence pass over everything")
-    s.add_argument("-v", "--verbose", action="store_true")
+    sub.add_parser("selftest", help="small equivalence pass over everything")
     return p
 
 
@@ -112,14 +102,12 @@ def _cmd_bench(args) -> int:
             kernel=args.kernel,
             policies=policies,
             width=args.width,
-            threads=args.threads,
             seed=args.seed,
             queries=args.queries,
             elements=args.elements,
             size_bytes=args.size,
             select=args.select,
             limit=args.limit,
-            verbose=args.verbose,
         )
     except ConfigError as e:
         print(f"coroweave: {e}", file=sys.stderr)
@@ -184,8 +172,6 @@ def _cmd_gen(args) -> int:
             text = emit_static(cdef, args.width).text
         elif args.emit == "hybrid":
             text = emit_hybrid(cdef, args.width).text
-        elif args.emit == "context":
-            text = emit_context(cdef, Layout(args.layout, args.width)).text
         else:
             text = fsm_dump(split_stages(cdef))
     except (CodegenError, LoweringError) as e:
@@ -199,8 +185,8 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    failures = selftest(verbose=args.verbose)
+def _cmd_selftest() -> int:
+    failures = selftest()
     if failures:
         for f in failures:
             print(f"coroweave: {f}", file=sys.stderr)
@@ -215,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_bench(args)
     if args.command == "gen":
         return _cmd_gen(args)
-    return _cmd_selftest(args)
+    return _cmd_selftest()
 
 
 if __name__ == "__main__":

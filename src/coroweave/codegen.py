@@ -1,18 +1,23 @@
-"""Python source generation from lowered coroutine definitions.
+"""Python source generation from coroutine definitions.
 
-Four emitters share one lowering:
+Four emitters, in two families:
 
 * ``emit_routine``: the plain sequential function (suspension points
   stripped), used as the ground-truth twin of every generated unit.
 * ``emit_dynamic``: a resumable per-task class driven through
-  ``step()``; any control flow is allowed because each instance carries
-  its own state id and dispatches on it.
+  ``step()``; any control flow is allowed because the body runs as a
+  Python generator, which keeps its own resume point and locals.
 * ``emit_static``: a fixed-width batch class that marches all lanes
   through the stages in lockstep; requires the state machine to be a
   straight line.
 * ``emit_hybrid``: fixed-width lanes that run a statically scheduled
   stage prefix in lockstep, then finish each lane dynamically on the
   same storage.
+
+The routine and the dynamic unit print the definition's structured
+control flow through one statement emitter.  Static and hybrid lanes
+share column storage, so those two are built from the lowered state
+machine (``split_stages``) and dispatch on its block ids.
 
 Every emitter returns a :class:`SourceText` whose ``entry`` names a
 zero-or-more-argument factory; calling the factory with the shared-arg
@@ -29,11 +34,10 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import __version__, dsl
-from .dsl import CoroutineDef, DeclKind, YieldHint
+from .dsl import CoroutineDef, DeclKind
 from .lowering import (
     ContextSpec,
     Fsm,
-    Layout,
     compute_context,
     split_stages,
     static_prefix_len,
@@ -44,7 +48,6 @@ from .lowering import (
 __all__ = [
     "CodegenError",
     "SourceText",
-    "emit_context",
     "emit_dynamic",
     "emit_static",
     "emit_hybrid",
@@ -168,169 +171,68 @@ def _emit_dispatch(w: _W, fsm: Fsm, block_ids, *, result_lhs: str,
             w.put('raise AssertionError(f"no block {_b}")')
 
 
-def _stage_is_single_block(fsm: Fsm, stage_id: int) -> bool:
-    st = fsm.stages[stage_id]
-    return len(st.block_ids) == 1
-
-
-# -- context records
-
-
-def emit_context(cdef: CoroutineDef, layout: Layout) -> SourceText:
-    """A bare context record for the definition under the given layout.
-
-    AoS: one instance per task, one slot per field.  SoA: one instance
-    per batch, one fixed-width column per field; columns for declared
-    args and variables carry a ``_soa_`` prefix, internal fields keep
-    their names.
-    """
-    fsm = split_stages(cdef)
-    ctx = compute_context(cdef, fsm)
-    w = _W()
-    if layout.kind == "aos":
-        cls = f"Context_{cdef.name}"
-        fields = ctx.field_names()
-        w.put(f"class {cls}:")
-        with w.indent():
-            w.put(f'"""Per-task context record for {cdef.name!r}."""')
-            w.put()
-            w.put(f"__slots__ = {fields!r}")
-            w.put()
-            args = [d.name for d in ctx.args]
-            w.put(f"def __init__(self{''.join(', ' + a for a in args)}):")
-            with w.indent():
-                for a in args:
-                    w.put(f"self.{a} = {a}")
-                for v in ctx.variables:
-                    w.put(f"self.{v.name} = None")
-                for f in ctx.internal:
-                    w.put(f"self.{f} = 0" if f == "_state" else f"self.{f} = None")
-                if not args and not ctx.variables and not ctx.internal:
-                    w.put("pass")
-    else:
-        if layout.width < 1:
-            raise CodegenError(f"{cdef.name}: SoA width must be >= 1, got {layout.width}")
-        cls = f"Context_{cdef.name}_soa_{layout.width}"
-        cols = list(ctx.internal) + [
-            f"_soa_{d.name}" for d in ctx.args + ctx.variables
-        ]
-        w.put(f"class {cls}:")
-        with w.indent():
-            w.put(f'"""Width-{layout.width} columnar context for {cdef.name!r}."""')
-            w.put()
-            w.put(f"__slots__ = {tuple(cols)!r}")
-            w.put()
-            w.put(f"_WIDTH = {layout.width}")
-            w.put()
-            w.put("def __init__(self):")
-            with w.indent():
-                for c in cols:
-                    init = "0" if c == "_state" else "None"
-                    w.put(f"self.{c} = [{init}] * {layout.width}")
-                if not cols:
-                    w.put("pass")
-    return SourceText(cls, _header(cdef.name), w.text())
-
-
-# -- dynamic (per-task, any control flow)
+# -- dynamic (per-task generator, any control flow)
 
 
 def emit_dynamic(cdef: CoroutineDef) -> SourceText:
     """Resumable per-task unit: ``make_<name>(shared...)`` -> class.
 
-    ``step()`` returns False at each suspension point and True at and
-    after completion.  Beyond the context fields, every arg keeps a
-    pristine ``_arg_`` copy so ``reset()`` (and the pull-reject restart
-    path) re-runs the task on its original inputs even if the body
-    mutated them; ``_state`` is always carried since this unit exists
-    to be dynamically scheduled.
+    The body is printed once, as a generator nested in the factory:
+    every suspension point yields False, and a return stores its value
+    in a per-instance result cell, so the generator holds no reference
+    back to the instance driving it.  ``step()`` advances the generator
+    and returns True at and after completion; ``reset()`` (and so the
+    pull-reject restart path) builds a fresh generator from the stored
+    args, which the body's own mutations never touch.
     """
-    fsm = split_stages(cdef)
-    ctx = compute_context(cdef, fsm)
+    _check_valid(cdef)
     cls = f"CoroutineState_{cdef.name}"
     factory = f"make_{cdef.name}"
-    finished = fsm.finished_id
-
-    args = [d.name for d in ctx.args]
-    variables = [d.name for d in ctx.variables]
-    temps = [f for f in ctx.internal if f in ("_cond", "_addr")]
-    carried = args + variables + temps
-    slots = tuple(
-        [s for a in args for s in (f"_arg_{a}", a)]
-        + variables
-        + ["_state"]
-        + (["_result"] if cdef.result_decl is not None else [])
-        + temps
-    )
+    args = [d.name for d in cdef.args]
+    has_result = cdef.result_decl is not None
+    params = args + (["_out"] if has_result else [])
+    slots = ("_args", "_gen") + (("_out",) if has_result else ())
 
     w = _W()
     w.put(f"def {factory}({', '.join(_shared_names(cdef))}):")
     with w.indent():
+        w.put(f"def _run({', '.join(params)}):")
+        with w.indent():
+            em = _RoutineEmitter(w, cdef, cell="_out[0]" if has_result else None)
+            em.body(cdef.body)
+            if not em.yields:
+                # Without a suspension point the body would be a plain
+                # function; this keeps it a generator and yields nothing.
+                w.put("yield from ()")
+        w.put()
         w.put(f"class {cls}:")
         with w.indent():
-            w.put(f'"""{cdef.name}: {len(fsm.state_entry)} resume state(s),'
-                  f" finished == {finished}.\"\"\"")
+            w.put(f'"""{cdef.name}: one generator per task, advanced by step()."""')
             w.put()
             w.put(f"__slots__ = {slots!r}")
             w.put()
-            w.put(f"_FINISHED = {finished}")
-            w.put()
             w.put(f"def __init__(self{''.join(', ' + a for a in args)}):")
             with w.indent():
-                for a in args:
-                    w.put(f"self._arg_{a} = {a}")
-                    w.put(f"self.{a} = {a}")
-                for v in variables:
-                    w.put(f"self.{v} = None")
-                w.put("self._state = 0")
-                if cdef.result_decl is not None:
-                    w.put("self._result = None")
-                for t in temps:
-                    w.put(f"self.{t} = None")
+                w.put(f"self._args = ({', '.join(args)}{',' if len(args) == 1 else ''})")
+                if has_result:
+                    w.put("self._out = _out = [None]")
+                w.put(f"self._gen = _run({', '.join(params)})")
             w.put()
             w.put("def step(self):")
             with w.indent():
-                w.put("_s = self._state")
-                w.put(f"if _s == {finished}:")
-                with w.indent():
-                    w.put("return True")
-                for f in carried:
-                    w.put(f"{f} = self.{f}")
-                entries = ", ".join(str(b) for b in fsm.state_entry)
-                w.put(f"_b = ({entries},)[_s]")
-
-                def on_yield(w: _W, sid: int) -> None:
-                    for f in carried:
-                        w.put(f"self.{f} = {f}")
-                    w.put(f"self._state = {sid}")
-                    w.put("return False")
-
-                def on_finish(w: _W) -> None:
-                    w.put(f"self._state = {finished}")
-                    w.put("return True")
-
-                _emit_dispatch(
-                    w, fsm, range(len(fsm.blocks)),
-                    result_lhs="self._result", on_yield=on_yield,
-                    on_finish=on_finish,
-                )
+                w.put("return next(self._gen, True)")
             w.put()
             w.put("def done(self):")
             with w.indent():
-                w.put(f"return self._state == {finished}")
+                w.put("return self._gen.gi_frame is None")
             w.put()
             w.put("def reset(self):")
             with w.indent():
-                w.put("self._state = 0")
-                for a in args:
-                    w.put(f"self.{a} = self._arg_{a}")
+                w.put(f"self._gen = _run(*self._args{', self._out' if has_result else ''})")
             w.put()
             w.put("def result(self):")
             with w.indent():
-                if cdef.result_decl is not None:
-                    w.put("return self._result")
-                else:
-                    w.put("return None")
+                w.put("return self._out[0]" if has_result else "return None")
         w.put()
         w.put(f"return {cls}")
     return SourceText(factory, _header(cdef.name), w.text())
@@ -350,16 +252,9 @@ def _soa_slots(cdef: CoroutineDef, ctx: ContextSpec, *, per_lane_state: bool) ->
 
 
 def _emit_lane_copy(w: _W, names: list[str], temps: list[str], i: str, *, direction: str) -> None:
-    for n in names:
-        if direction == "in":
-            w.put(f"{n} = _soa_{n}[{i}]")
-        else:
-            w.put(f"_soa_{n}[{i}] = {n}")
-    for t in temps:
-        if direction == "in":
-            w.put(f"{t} = {t}_col[{i}]")
-        else:
-            w.put(f"{t}_col[{i}] = {t}")
+    lanes = [(n, f"_soa_{n}[{i}]") for n in names] + [(t, f"{t}_col[{i}]") for t in temps]
+    for local, lane in lanes:
+        w.put(f"{local} = {lane}" if direction == "in" else f"{lane} = {local}")
 
 
 def _emit_stage_loop(w: _W, fsm: Fsm, stage_id: int, width: int,
@@ -375,7 +270,7 @@ def _emit_stage_loop(w: _W, fsm: Fsm, stage_id: int, width: int,
     w.put(f"for _i in range({width}):")
     with w.indent():
         _emit_lane_copy(w, names, temps, "_i", direction="in")
-        if _stage_is_single_block(fsm, stage_id):
+        if len(st.block_ids) == 1:
             blk = fsm.blocks[entry]
             _emit_ops(w, blk.ops, result_lhs="_result_col[_i]")
             if blk.term[0] == "yield":
@@ -502,6 +397,24 @@ def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
 # -- hybrid (static stage prefix, dynamic per-lane suffix)
 
 
+def _tail_blocks(fsm: Fsm, prefix: int) -> list[int]:
+    """Blocks of every stage reachable from state ``prefix``.
+
+    Follows stage successors rather than taking the stages numbered
+    ``prefix`` and up: a tail-resume jumps back to block 0, whose
+    stage-0 code then re-enters the prefix states.
+    """
+    seen: set[int] = set()
+    work = [prefix]
+    while work:
+        sid = work.pop()
+        if sid in seen or sid == fsm.finished_id:
+            continue
+        seen.add(sid)
+        work.extend(fsm.stages[sid].successors)
+    return sorted({b for sid in seen for b in fsm.stages[sid].block_ids})
+
+
 def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
     """Prefix-lockstep unit: ``make_hybrid_<name>_<width>(shared...)``.
 
@@ -583,14 +496,10 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
                     w.put("return True")
 
                 _emit_dispatch(
-                    w, fsm, range(len(fsm.blocks)),
+                    w, fsm, _tail_blocks(fsm, prefix),
                     result_lhs="self._result[_i]", on_yield=on_yield,
                     on_finish=on_finish,
                 )
-            w.put()
-            w.put("def done_slot(self, _i):")
-            with w.indent():
-                w.put(f"return self._state[_i] == {finished}")
             w.put()
             _emit_fini(w, width)
         w.put()
@@ -598,17 +507,20 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
     return SourceText(factory, _header(cdef.name), w.text())
 
 
-# -- plain sequential routine
+# -- plain sequential routine and the shared statement emitter
 
 
-def emit_routine(cdef: CoroutineDef) -> SourceText:
-    """The sequential twin as a plain function (suspensions stripped)."""
+def _check_valid(cdef: CoroutineDef) -> None:
     diags = dsl.validate(cdef)
     if diags:
         raise CodegenError(
             f"{cdef.name} does not validate: " + "; ".join(str(d) for d in diags)
         )
-    stripped = strip_yields(cdef)
+
+
+def emit_routine(cdef: CoroutineDef) -> SourceText:
+    """The sequential twin as a plain function (suspensions stripped)."""
+    _check_valid(cdef)
     params = [
         d.name for d in cdef.decls if d.kind in (DeclKind.ARG, DeclKind.SHARED_ARG)
     ]
@@ -616,69 +528,118 @@ def emit_routine(cdef: CoroutineDef) -> SourceText:
     w.put(f"def {cdef.name}({', '.join(params)}):")
     with w.indent():
         w.put(f'"""Sequential form of the {cdef.name!r} coroutine def."""')
-        for d in cdef.variables:
-            if d.init is not None:
-                w.put(f"{d.name} = {d.init}")
-        _RoutineEmitter(w, cdef).suite(stripped.body, None, None)
+        _RoutineEmitter(w, cdef).body(strip_yields(cdef).body)
     return SourceText(cdef.name, _header(cdef.name), w.text())
 
 
+def _sub_blocks(s) -> list[dsl.Block]:
+    match s:
+        case dsl.Block():
+            return [s]
+        case dsl.If(then=then, orelse=orelse):
+            return [then] if orelse is None else [then, orelse]
+        case dsl.Switch(cases=cases, default=default):
+            return [b for _, b in cases] + ([] if default is None else [default])
+        case dsl.While(body=body) | dsl.DoWhile(body=body):
+            return [body]
+    return []
+
+
+def _binds(blk: dsl.Block, kind: type, scope: tuple[type, ...]) -> bool:
+    """Whether a ``kind`` statement in ``blk`` reaches the construct around it.
+
+    The scan does not enter nested ``scope`` constructs, which would
+    bind such a statement first.
+    """
+    return any(
+        isinstance(s, kind)
+        or (not isinstance(s, scope) and any(_binds(b, kind, scope) for b in _sub_blocks(s)))
+        for s in blk.stmts
+    )
+
+
+def _has_call(blk: dsl.Block) -> bool:
+    return _binds(blk, dsl.Call, ())
+
+
 def _binds_continue(blk: dsl.Block) -> bool:
-    for s in blk.stmts:
-        match s:
-            case dsl.Continue():
-                return True
-            case dsl.Block():
-                if _binds_continue(s):
-                    return True
-            case dsl.If(then=then, orelse=orelse):
-                if _binds_continue(then):
-                    return True
-                if orelse is not None and _binds_continue(orelse):
-                    return True
-            case dsl.Switch(cases=cases, default=default):
-                if any(_binds_continue(b) for _, b in cases):
-                    return True
-                if default is not None and _binds_continue(default):
-                    return True
-    return False
+    return _binds(blk, dsl.Continue, (dsl.While, dsl.DoWhile))
 
 
 def _binds_break(blk: dsl.Block) -> bool:
-    # Break binds the nearest enclosing loop or switch, so the scan
-    # stops at nested loops and switches either way.
-    for s in blk.stmts:
-        match s:
-            case dsl.Break():
-                return True
-            case dsl.Block():
-                if _binds_break(s):
-                    return True
-            case dsl.If(then=then, orelse=orelse):
-                if _binds_break(then):
-                    return True
-                if orelse is not None and _binds_break(orelse):
-                    return True
-    return False
+    return _binds(blk, dsl.Break, (dsl.While, dsl.DoWhile, dsl.Switch))
 
 
 class _RoutineEmitter:
-    """Structured statement emission for the sequential routine.
+    """Structured statement emission for the routine and generator bodies.
 
     Break/continue targets are carried as literal line lists so that a
     translation through a ``for _once in (0,):`` wrapper (needed when a
     do-while body re-checks its condition via continue, or a switch arm
     breaks out early) composes with enclosing constructs.
+
+    A self tail-resume rebinds the args and restarts a ``while True:``
+    loop around the body, which re-runs the variable initializers; from
+    inside nested Python loops it sets ``_rs`` and breaks out level by
+    level.  Bodies without a ``call`` get neither the loop nor the flag.
+
+    Suspension points (absent from a stripped routine) print as
+    ``yield False``; with ``cell`` set, a valued return stores into it.
     """
 
-    def __init__(self, w: _W, cdef: CoroutineDef) -> None:
+    def __init__(self, w: _W, cdef: CoroutineDef, cell: str | None = None) -> None:
         self.w = w
         self.cdef = cdef
+        self.cell = cell
         self.counter = 0
+        self.loops = 0
+        self.yields = 0
 
     def fresh(self) -> int:
         self.counter += 1
         return self.counter
+
+    def body(self, blk: dsl.Block) -> None:
+        w = self.w
+        if not _has_call(blk):
+            self.var_inits()
+            self.suite(blk, None, None)
+            return
+        w.put("while True:")
+        with w.indent():
+            self.var_inits()
+            self.suite(blk, None, None)
+            if not isinstance(blk.stmts[-1], (dsl.Return, dsl.Call)):
+                w.put("return")
+
+    def var_inits(self) -> None:
+        for d in self.cdef.variables:
+            if d.init is not None:
+                self.w.put(f"{d.name} = {d.init}")
+
+    def suspend(self) -> None:
+        self.yields += 1
+        self.w.put("yield False")
+
+    def escape(self) -> str:
+        # Leave the innermost Python loop, or restart at the outermost.
+        return "break" if self.loops else "continue"
+
+    @contextlib.contextmanager
+    def loop(self, header: str, calls: bool):
+        """A Python loop whose body is emitted inside the with-block."""
+        w = self.w
+        if calls:
+            w.put("_rs = False")
+        w.put(header)
+        self.loops += 1
+        with w.indent():
+            yield
+        self.loops -= 1
+        if calls:
+            w.put("if _rs:")
+            with w.indent():
+                w.put(self.escape())
 
     def suite(self, blk: dsl.Block, brk: list[str] | None, cont: list[str] | None) -> None:
         before = len(self.w.lines)
@@ -695,12 +656,31 @@ class _RoutineEmitter:
         match s:
             case dsl.Opaque(text=text):
                 w.put_stmt_text(text)
-            case dsl.Assign(dst=dst, value=value) | dsl.Load(dst=dst, addr=value):
+            case dsl.Assign(dst=dst, value=value):
                 w.put(f"{dst} = {value}")
-            case dsl.Store(addr=addr, value=value):
+            case dsl.Load(dst=dst, addr=addr, yield_before=yb):
+                if yb:
+                    w.put(f"_addr = {addr}")
+                    w.put("prefetch(_addr)")
+                    self.suspend()
+                    addr = "_addr"
+                w.put(f"{dst} = {addr}")
+            case dsl.Store(addr=addr, value=value, yield_before=yb):
+                if yb:
+                    w.put(f"_addr = {value}")
+                    self.suspend()
+                    value = "_addr"
                 w.put(f"{addr} = {value}")
+            case dsl.Prefetch(addrs=addrs):
+                for a in addrs:
+                    w.put(f"prefetch({a})")
+            case dsl.Yield():
+                self.suspend()
             case dsl.Return(value=value):
-                w.put(f"return {value}" if value is not None else "return None")
+                if value is not None and self.cell is not None:
+                    w.put(f"{self.cell} = {value}")
+                    value = None
+                w.put(f"return {value}")
             case dsl.Break():
                 for line in brk:
                     w.put(line)
@@ -709,7 +689,11 @@ class _RoutineEmitter:
                     w.put(line)
             case dsl.Block():
                 self.suite(s, brk, cont)
-            case dsl.If(cond=cond, then=then, orelse=orelse):
+            case dsl.If(cond=cond, then=then, orelse=orelse, yield_before=yb):
+                if yb:
+                    w.put(f"_cond = {cond}")
+                    self.suspend()
+                    cond = "_cond"
                 w.put(f"if {cond}:")
                 with w.indent():
                     self.suite(then, brk, cont)
@@ -718,8 +702,7 @@ class _RoutineEmitter:
                     with w.indent():
                         self.suite(orelse, brk, cont)
             case dsl.While(cond=cond, body=body):
-                w.put(f"while {cond}:")
-                with w.indent():
+                with self.loop(f"while {cond}:", _has_call(body)):
                     self.suite(body, ["break"], ["continue"])
             case dsl.DoWhile(body=body, cond=cond):
                 self.do_while(body, cond)
@@ -732,9 +715,9 @@ class _RoutineEmitter:
 
     def do_while(self, body: dsl.Block, cond: str) -> None:
         w = self.w
+        calls = _has_call(body)
         if not _binds_continue(body):
-            w.put("while True:")
-            with w.indent():
+            with self.loop("while True:", calls):
                 self.suite(body, ["break"], None)
                 w.put(f"if not ({cond}):")
                 with w.indent():
@@ -747,10 +730,8 @@ class _RoutineEmitter:
         has_break = _binds_break(body)
         if has_break:
             w.put(f"_brk{n} = False")
-        w.put("while True:")
-        with w.indent():
-            w.put(f"for _once{n} in (0,):")
-            with w.indent():
+        with self.loop("while True:", calls):
+            with self.loop(f"for _once{n} in (0,):", calls):
                 brk = [f"_brk{n} = True", "break"] if has_break else None
                 self.suite(body, brk, ["break"])
             if has_break:
@@ -766,26 +747,19 @@ class _RoutineEmitter:
         n = self.fresh()
         tmp = f"_sw{n}"
         w.put(f"{tmp} = {s.scrutinee}")
-        arms = list(s.cases)
-        wrap = any(_binds_break(b) for _, b in arms) or (
-            s.default is not None and _binds_break(s.default)
-        )
-        if not wrap:
+        arms = _sub_blocks(s)
+        if not any(map(_binds_break, arms)):
             self.switch_chain(tmp, s, brk=None, cont=cont)
             return
         # An early break out of an arm needs something to break from;
         # an outer continue inside the wrapper must first escape it.
         cont_inner = cont
         cont_flag = None
-        needs_cont = any(_binds_continue(b) for _, b in arms) or (
-            s.default is not None and _binds_continue(s.default)
-        )
-        if cont is not None and needs_cont:
+        if cont is not None and any(map(_binds_continue, arms)):
             cont_flag = f"_cont{n}"
             w.put(f"{cont_flag} = False")
             cont_inner = [f"{cont_flag} = True", "break"]
-        w.put(f"for _once{n} in (0,):")
-        with w.indent():
+        with self.loop(f"for _once{n} in (0,):", any(map(_has_call, arms))):
             self.switch_chain(tmp, s, brk=["break"], cont=cont_inner)
         if cont_flag is not None:
             w.put(f"if {cont_flag}:")
@@ -805,11 +779,12 @@ class _RoutineEmitter:
                 self.suite(s.default, brk, cont)
 
     def tail_call(self, args: tuple[str, ...]) -> None:
-        # Self tail-resume maps onto tail recursion in the routine.
-        it = iter(args)
-        passed = [
-            d.name if d.kind is DeclKind.SHARED_ARG else next(it)
-            for d in self.cdef.decls
-            if d.kind in (DeclKind.ARG, DeclKind.SHARED_ARG)
-        ]
-        self.w.put(f"return {self.cdef.name}({', '.join(passed)})")
+        # A tuple assignment evaluates every new value before binding
+        # any, so an arg expression may read the old values.
+        w = self.w
+        names = [d.name for d in self.cdef.args]
+        if names:
+            w.put(f"{', '.join(names)} = {', '.join(f'({a})' for a in args)}")
+        if self.loops:
+            w.put("_rs = True")
+        w.put(self.escape())

@@ -26,7 +26,6 @@ __all__ = [
     "Stage",
     "Fsm",
     "ContextSpec",
-    "Layout",
     "INTERNAL_FIELDS",
     "split_stages",
     "compute_context",
@@ -102,18 +101,6 @@ class ContextSpec:
 
     def field_names(self) -> tuple[str, ...]:
         return tuple(d.name for d in self.args + self.variables) + self.internal
-
-
-@dataclass(frozen=True, slots=True)
-class Layout:
-    """AoS keeps one record per task; SoA keeps one array per field."""
-
-    kind: str
-    width: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("aos", "soa"):
-            raise LoweringError(f"layout kind must be 'aos' or 'soa', got {self.kind!r}")
 
 
 class _Lowerer:

@@ -124,24 +124,29 @@ def run_push_pull(
     producer is exhausted; ``pull(slot, instance)`` consumes a finished
     task and may return False to reject it, in which case the instance
     is reset and recomputed for a later offer (the producer must
-    eventually accept, or this never returns).  Returns the number of
+    eventually accept, or this never returns).  A slot whose ``push``
+    returns None leaves the sweep for good.  Returns the number of
     accepted tasks.
     """
-    slots: list[StepCoroutine | None] = [push(i) for i in range(config.width)]
+    first = [push(i) for i in range(config.width)]
+    ids = [i for i, inst in enumerate(first) if inst is not None]
+    insts: list[StepCoroutine | None] = [first[i] for i in ids]
     accepted = 0
-    live = sum(1 for s in slots if s is not None)
-    while live:
-        for i, inst in enumerate(slots):
-            if inst is None:
-                continue
+    while insts:
+        dead = False
+        for j, inst in enumerate(insts):
             if inst.step():
+                i = ids[j]
                 if pull(i, inst):
                     accepted += 1
-                    slots[i] = push(i)
-                    if slots[i] is None:
-                        live -= 1
+                    insts[j] = push(i)
+                    if insts[j] is None:
+                        dead = True
                 else:
                     inst.reset()
+        if dead:
+            ids = [i for i, inst in zip(ids, insts) if inst is not None]
+            insts = [inst for inst in insts if inst is not None]
     return accepted
 
 

@@ -15,6 +15,12 @@ by construction:
 Every variable is initialized, every expression is total over ints,
 and the coroutine takes a single int arg ``x``, so a generated def can
 be both lowered and executed.
+
+``coroutine_defs`` draws any control flow.  Two narrower strategies
+feed the lockstep emitters: ``straight_line_defs`` (yield-free segments
+between suspension points, so the stage graph is a straight line) and
+``hinted_prefix_defs`` (a statically hinted first stage, the random
+body, then a guarded self tail-resume that halves ``x``).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from coroweave.dsl import (
     assign,
     block,
     break_,
+    call,
     continue_,
     coroutine,
     do_,
@@ -87,8 +94,11 @@ def _cond(draw, pool: _Pool) -> str:
     return template.format(a=a, b=b)
 
 
-def _stmt(draw, pool: _Pool, depth: int, in_loop: bool):
-    choices = ["assign", "assign", "yield", "prefetch", "opaque", "load", "store", "if"]
+def _stmt(draw, pool: _Pool, depth: int, in_loop: bool, yields: bool = True):
+    """One random statement; with ``yields`` False it never suspends."""
+    choices = ["assign", "assign", "prefetch", "opaque", "load", "store", "if"]
+    if yields:
+        choices.append("yield")
     if depth < MAX_DEPTH:
         if pool.counters:
             choices += ["while", "dowhile"]
@@ -109,26 +119,26 @@ def _stmt(draw, pool: _Pool, depth: int, in_loop: bool):
         return load(
             draw(st.sampled_from(pool.names[1:])),
             _expr(draw, pool),
-            yield_before=draw(st.booleans()),
+            yield_before=yields and draw(st.booleans()),
         )
     if kind == "store":
         return store(draw(st.sampled_from(pool.names[1:])), _expr(draw, pool))
     if kind == "if":
         b = if_(_cond(draw, pool))
-        if depth < MAX_DEPTH and draw(st.booleans()):
+        if yields and depth < MAX_DEPTH and draw(st.booleans()):
             b = b.yield_before()
-        then_items = _suite(draw, pool, depth + 1, in_loop)
+        then_items = _suite(draw, pool, depth + 1, in_loop, yields)
         if in_loop and draw(st.booleans()):
             then_items.append(draw(st.sampled_from([break_(), continue_()])))
         b = b.then_(*then_items)
         if draw(st.booleans()):
-            b = b.else_(*_suite(draw, pool, depth + 1, in_loop))
+            b = b.else_(*_suite(draw, pool, depth + 1, in_loop, yields))
         return b
     if kind in ("while", "dowhile"):
         counter = pool.counters.pop()
         pool.used_counters.append((counter, str(draw(st.integers(0, 3)))))
         cond = f"({counter} := {counter} - 1) >= 0"
-        body = _suite(draw, pool, depth + 1, True)
+        body = _suite(draw, pool, depth + 1, True, yields)
         if draw(st.booleans()):
             body.append(draw(st.sampled_from([break_(), continue_()])))
         if kind == "while":
@@ -138,35 +148,32 @@ def _stmt(draw, pool: _Pool, depth: int, in_loop: bool):
         b = switch_(f"({draw(st.sampled_from(pool.names))}) % 3")
         with_default = draw(st.booleans())
         for c in range(draw(st.integers(1, 3))):
-            items = _suite(draw, pool, depth + 1, in_loop)
+            items = _suite(draw, pool, depth + 1, in_loop, yields)
             # A trailing terminator is safe only while the no-match
             # fall-past path keeps the after-switch statements reachable.
             if not with_default and draw(st.booleans()):
                 items.append(break_())
             b = b.case_(str(c), *items)
         if with_default:
-            b = b.default_(*_suite(draw, pool, depth + 1, in_loop))
+            b = b.default_(*_suite(draw, pool, depth + 1, in_loop, yields))
         return b
     if kind == "block":
         name = pool.locals_.pop()
         pool.names.append(name)
-        inner = _suite(draw, pool, depth + 1, in_loop)
+        inner = _suite(draw, pool, depth + 1, in_loop, yields)
         pool.names.remove(name)
         return block(let("int", name, draw(st.sampled_from(["0", "5"]))), *inner)
     raise AssertionError(kind)
 
 
-def _suite(draw, pool: _Pool, depth: int, in_loop: bool) -> list:
+def _suite(draw, pool: _Pool, depth: int, in_loop: bool, yields: bool = True) -> list:
     return [
-        _stmt(draw, pool, depth, in_loop)
+        _stmt(draw, pool, depth, in_loop, yields)
         for _ in range(draw(st.integers(1, MAX_STMTS)))
     ]
 
 
-@st.composite
-def coroutine_defs(draw) -> CoroutineDef:
-    pool = _Pool()
-    body = _suite(draw, pool, 0, False)
+def _define(draw, pool: _Pool, body: list) -> CoroutineDef:
     body.append(return_("(x + v0 + v1 + v2) & 0xFFFF"))
     b = coroutine("scrambler").result("int", "res").arg("int", "x")
     for v in ("v0", "v1", "v2"):
@@ -177,6 +184,53 @@ def coroutine_defs(draw) -> CoroutineDef:
     diags = dsl.validate(d)
     assert not diags, [str(x) for x in diags]
     return d
+
+
+@st.composite
+def coroutine_defs(draw) -> CoroutineDef:
+    pool = _Pool()
+    return _define(draw, pool, _suite(draw, pool, 0, False))
+
+
+def _suspension(draw, pool: _Pool):
+    """A statement that suspends exactly once, then flows straight on."""
+    dst = draw(st.sampled_from(pool.names[1:]))
+    kind = draw(st.sampled_from(["yield", "load", "store", "if"]))
+    if kind == "yield":
+        return yield_(draw(st.sampled_from(HINTS)))
+    if kind == "load":
+        return load(dst, _expr(draw, pool), yield_before=True)
+    if kind == "store":
+        return store(dst, _expr(draw, pool), yield_before=True)
+    return if_(_cond(draw, pool)).yield_before().then_(
+        *_suite(draw, pool, 1, False, yields=False)
+    )
+
+
+@st.composite
+def straight_line_defs(draw) -> CoroutineDef:
+    """Yield-free segments (any control flow inside) between suspensions."""
+    pool = _Pool()
+    body = []
+    for _ in range(draw(st.integers(1, 3))):
+        body += _suite(draw, pool, 1, False, yields=False)
+        body.append(_suspension(draw, pool))
+    body += _suite(draw, pool, 1, False, yields=False)
+    return _define(draw, pool, body)
+
+
+@st.composite
+def hinted_prefix_defs(draw) -> CoroutineDef:
+    """A static first stage, the random body, then a guarded tail-resume.
+
+    The resume halves ``x``, which nothing else writes, so it runs at
+    most log2(x) times.
+    """
+    pool = _Pool()
+    body = [assign("v0", _expr(draw, pool)), yield_("static")]
+    body += _suite(draw, pool, 0, False)
+    body.append(if_("x > 1").then_(call("scrambler", "x // 2")))
+    return _define(draw, pool, body)
 
 
 def count_tree_yields(node) -> int:

@@ -10,13 +10,16 @@ from hypothesis import given, settings
 import defgen
 from coroweave import (
     CodegenError,
-    Layout,
-    emit_context,
+    SchedulerConfig,
     emit_dynamic,
     emit_hybrid,
     emit_routine,
     emit_static,
     load_unit,
+    run_hybrid,
+    run_static_batch,
+    split_stages,
+    straight_line_error,
 )
 from coroweave.dsl import (
     assign,
@@ -27,6 +30,7 @@ from coroweave.dsl import (
     do_,
     if_,
     load,
+    prefetch,
     opaque,
     return_,
     store,
@@ -107,6 +111,63 @@ def gnarly_def():
     )
 
 
+def countdown_def():
+    """``acc + x*(x+1)//2`` by one self tail-resume per level."""
+    return (
+        coroutine("countdown").result("int", "res").arg("int", "x").arg("int", "acc")
+        .body(
+            if_("x == 0").then_(return_("acc")),
+            prefetch("x"),
+            yield_(),
+            call("countdown", "x - 1", "acc + x"),
+        )
+    )
+
+
+def nested_countdown_def():
+    """The countdown, resuming from inside a switch in a do-while in a while.
+
+    The switch arm that breaks wraps the switch in a one-shot loop, and
+    the do-while's continue wraps its body in another, so the resume
+    has four Python loops to escape.
+    """
+    return (
+        coroutine("drain").result("int", "res").arg("int", "x").arg("int", "acc")
+        .variable("int", "k", "2")
+        .body(
+            while_("k > 0").do_(
+                assign("k", "k - 1"),
+                do_(
+                    if_("x < 0").then_(continue_()),
+                    yield_(),
+                    switch_("x")
+                    .case_("0", break_())
+                    .default_(call("drain", "x - 1", "acc + x")),
+                ).while_("False"),
+            ),
+            return_("acc"),
+        )
+    )
+
+
+def relay_def():
+    """Two static stages, then a tail-resume that re-enters them."""
+    return (
+        coroutine("relay")
+        .result("int", "out")
+        .arg("int", "x")
+        .variable("int", "t", "x * 3")
+        .body(
+            assign("t", "t + 1"),
+            yield_("static"),
+            assign("t", "t ^ 5"),
+            yield_("static"),
+            if_("x > 1").then_(call("relay", "x // 2")),
+            return_("t + x"),
+        )
+    )
+
+
 def run_dynamic(cls, *args, step_cap=100_000):
     inst = cls(*args)
     steps = 0
@@ -134,12 +195,7 @@ class TestDeterminismAndShape:
     @pytest.mark.parametrize("name", ALL_DEFS)
     def test_emitters_are_deterministic(self, name):
         d = build(name)
-        for emit in (
-            emit_routine,
-            emit_dynamic,
-            lambda x: emit_context(x, Layout("aos")),
-            lambda x: emit_context(x, Layout("soa", 8)),
-        ):
+        for emit in (emit_routine, emit_dynamic):
             assert emit(d).text == emit(d).text
 
     def test_static_and_hybrid_deterministic(self):
@@ -150,12 +206,7 @@ class TestDeterminismAndShape:
     @pytest.mark.parametrize("name", ALL_DEFS)
     def test_generated_units_compile(self, name):
         d = build(name)
-        for src in (
-            emit_routine(d),
-            emit_dynamic(d),
-            emit_context(d, Layout("aos")),
-            emit_context(d, Layout("soa", 8)),
-        ):
+        for src in (emit_routine(d), emit_dynamic(d)):
             compile(src.text, "<unit>", "exec")
 
     def test_header_banner(self):
@@ -172,41 +223,15 @@ class TestDeterminismAndShape:
         assert emit_dynamic(d).entry == "make_pipeline"
         assert emit_static(d, 6).entry == "make_pipeline_6"
         assert emit_hybrid(hybrid_tail_def(), 6).entry == "make_hybrid_mixer_6"
-        assert emit_context(d, Layout("aos")).entry == "Context_pipeline"
-        assert emit_context(d, Layout("soa", 3)).entry == "Context_pipeline_soa_3"
 
     def test_dynamic_snippets(self):
         text = emit_dynamic(KERNELS["bt"].build_def()).text
-        assert "__slots__ = ('_arg_n', 'n', '_arg_key', 'key', '_state', '_result')" in text
-        assert "_b = (0, 3,)[_s]" in text
-        assert "def reset(self):" in text
-
-
-class TestContextRecords:
-    def test_aos_fields_and_init(self):
-        d = KERNELS["ht"].build_def()
-        cls = load_unit(emit_context(d, Layout("aos")))
-        inst = cls(123)
-        assert inst.k == 123
-        assert inst.hash is None
-        assert inst._state == 0
-        assert inst._result is None
-        with pytest.raises(AttributeError):
-            inst.unplanned = 1
-
-    def test_soa_columns(self):
-        d = KERNELS["ht"].build_def()
-        cls = load_unit(emit_context(d, Layout("soa", 5)))
-        inst = cls()
-        assert cls._WIDTH == 5
-        assert inst._state == [0] * 5
-        assert inst._result == [None] * 5
-        assert inst._soa_k == [None] * 5
-        assert inst._soa_hash == [None] * 5
-
-    def test_soa_rejects_bad_width(self):
-        with pytest.raises(CodegenError, match="SoA width must be >= 1"):
-            emit_context(staged_def(), Layout("soa", 0))
+        assert "    def _run(n, key, _out):" in text
+        assert "__slots__ = ('_args', '_gen', '_out')" in text
+        assert "return next(self._gen, True)" in text
+        assert "self._gen = _run(*self._args, self._out)" in text
+        # a generator unit dispatches on nothing and holds no FSM state
+        assert "_b = " not in text and "_state" not in text
 
 
 class TestDynamicUnit:
@@ -286,6 +311,16 @@ class TestDynamicUnit:
         routine = load_unit(emit_routine(d))
         cls = load_unit(emit_dynamic(d))()
         assert run_dynamic(cls, 7) == routine(7)  # x == 7 restarts with x = 100
+
+    @pytest.mark.parametrize("make_def", [countdown_def, nested_countdown_def])
+    def test_deep_tail_resume_needs_no_recursion(self, make_def):
+        d = make_def()
+        routine = load_unit(emit_routine(d))
+        cls = load_unit(emit_dynamic(d))()
+        for x in (0, 1, 6, 5000):
+            want = 11 + x * (x + 1) // 2
+            assert routine(x, 11) == want
+            assert run_dynamic(cls, x, 11) == want
 
     @settings(max_examples=60, deadline=None)
     @given(defgen.coroutine_defs())
@@ -389,7 +424,28 @@ class TestMemoryOps:
         assert "_addr" in emit_dynamic(d).text
 
 
+# width 1, an odd width, and a width above the task count
+FUZZ_WIDTHS = (1, 3, 8)
+FUZZ_TASKS = [(x,) for x in (0, 1, 7, 58, 999)]
+
+
+def run_lockstep(runner, make, width):
+    out = [None] * len(FUZZ_TASKS)
+    runner(SchedulerConfig(width=width), make(), FUZZ_TASKS, out)
+    return out
+
+
 class TestStaticUnit:
+    @settings(max_examples=40, deadline=None)
+    @given(defgen.straight_line_defs())
+    def test_matches_routine_on_straight_line_defs(self, d):
+        assert straight_line_error(split_stages(d)) is None
+        routine = load_unit(emit_routine(d))
+        want = [routine(x) for (x,) in FUZZ_TASKS]
+        for width in FUZZ_WIDTHS:
+            make = load_unit(emit_static(d, width))()
+            assert run_lockstep(run_static_batch, make, width) == want, width
+
     def test_results_match_routine(self):
         d = staged_def()
         routine = load_unit(emit_routine(d))
@@ -450,7 +506,6 @@ class TestHybridUnit:
         xs = [0, 5, 6, 13]
         unit.init(xs)
         unit.run_prefix()
-        assert all(not unit.done_slot(i) for i in range(4))
         live = set(range(4))
         while live:
             for i in list(live):
@@ -474,6 +529,28 @@ class TestHybridUnit:
             out = [None, None]
             unit.fini(out)
             assert out == [routine(x) for x in xs]
+
+    def test_tail_resume_reenters_prefix_states(self):
+        d = relay_def()
+        routine = load_unit(emit_routine(d))
+        make = load_unit(emit_hybrid(d, 3))()
+        assert make._PREFIX == 2
+        assert run_lockstep(run_hybrid, make, 3) == [routine(x) for (x,) in FUZZ_TASKS]
+
+    def test_step_slot_has_no_arms_for_prefix_only_blocks(self):
+        # the mixer's prefix stages are single blocks that only
+        # run_prefix reaches, and run_prefix needs no dispatch for them
+        text = emit_hybrid(hybrid_tail_def(), 4).text
+        assert "if _b == 0:" not in text
+
+    @settings(max_examples=40, deadline=None)
+    @given(defgen.hinted_prefix_defs())
+    def test_matches_routine_on_hinted_prefix_defs(self, d):
+        routine = load_unit(emit_routine(d))
+        want = [routine(x) for (x,) in FUZZ_TASKS]
+        for width in FUZZ_WIDTHS:
+            make = load_unit(emit_hybrid(d, width))()
+            assert run_lockstep(run_hybrid, make, width) == want, width
 
     def test_rejects_unhinted_definitions(self):
         with pytest.raises(CodegenError, match="no statically scheduled stage prefix"):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 
 import defgen
 from coroweave import (
-    Layout,
     LoweringError,
     compute_context,
     fsm_dump,
@@ -294,10 +293,3 @@ class TestSchedulability:
             return_(),
         )
         assert static_prefix_len(split_stages(d)) == 1
-
-
-def test_layout_kinds():
-    assert Layout("aos").width == 1
-    assert Layout("soa", 16).kind == "soa"
-    with pytest.raises(LoweringError, match="layout kind"):
-        Layout("packed")
