@@ -1,8 +1,9 @@
 """Coroutine interleaving toolkit.
 
 A builder DSL describes pointer-chasing routines with explicit
-suspension points; lowering splits them into state machines; codegen
-turns those into resumable Python classes; the schedulers interleave
+suspension points; lowering splits them into state machines, which
+decide the schedules a routine qualifies for; codegen prints each
+routine as resumable Python generators; the schedulers interleave
 many in-flight lookups on one thread so that each stall overlaps the
 work of its neighbors.
 """

@@ -11,13 +11,13 @@ Four emitters, in two families:
   through the stages in lockstep; requires the state machine to be a
   straight line.
 * ``emit_hybrid``: fixed-width lanes that run a statically scheduled
-  stage prefix in lockstep, then finish each lane dynamically on the
-  same storage.
+  stage prefix in lockstep, then finish each lane dynamically.
 
-The routine and the dynamic unit print the definition's structured
-control flow through one statement emitter.  Static and hybrid lanes
-share column storage, so those two are built from the lowered state
-machine (``split_stages``) and dispatch on its block ids.
+All four print the definition's structured control flow through one
+statement emitter.  The dynamic, static and hybrid units run it as a
+Python generator: one per task, or one per lane, advanced in lockstep
+or one lane at a time.  The lowered state machine (``split_stages``)
+only decides which definitions the static and hybrid emitters accept.
 
 Every emitter returns a :class:`SourceText` whose ``entry`` names a
 zero-or-more-argument factory; calling the factory with the shared-arg
@@ -36,9 +36,6 @@ from typing import Any
 from . import __version__, dsl
 from .dsl import CoroutineDef, DeclKind
 from .lowering import (
-    ContextSpec,
-    Fsm,
-    compute_context,
     split_stages,
     static_prefix_len,
     straight_line_error,
@@ -128,47 +125,27 @@ def _shared_names(cdef: CoroutineDef) -> list[str]:
     return [d.name for d in cdef.shared_args]
 
 
-def _emit_ops(w: _W, ops, *, result_lhs: str) -> None:
-    for op in ops:
-        match op:
-            case ("opaque", text):
-                w.put_stmt_text(text)
-            case ("assign", dst, expr):
-                w.put(f"{dst} = {expr}")
-            case ("store", lvalue, expr):
-                w.put(f"{lvalue} = {expr}")
-            case ("prefetch", expr):
-                w.put(f"prefetch({expr})")
-            case ("result", expr):
-                w.put(f"{result_lhs} = {expr}")
+def _emit_run(w: _W, cdef: CoroutineDef, out: str, cell: str) -> list[str]:
+    """Print the body once, as the generator ``_run``; return its params.
 
-
-def _emit_dispatch(w: _W, fsm: Fsm, block_ids, *, result_lhs: str,
-                   on_yield, on_finish) -> None:
-    """The block dispatch loop: ``_b`` selects an arm, arms jump or exit."""
-    w.put("while True:")
+    Every suspension point yields False.  With a result declared,
+    ``_run`` also takes ``out`` (one or more parameter names) and a
+    valued return stores into ``cell``, so the generator holds no
+    reference back to the unit that drives it.
+    """
+    params = [d.name for d in cdef.args]
+    has_result = cdef.result_decl is not None
+    if has_result:
+        params.append(out)
+    w.put(f"def _run({', '.join(params)}):")
     with w.indent():
-        first = True
-        for b in block_ids:
-            blk = fsm.blocks[b]
-            w.put(f"{'if' if first else 'elif'} _b == {b}:")
-            first = False
-            with w.indent():
-                _emit_ops(w, blk.ops, result_lhs=result_lhs)
-                match blk.term:
-                    case ("goto", t):
-                        w.put(f"_b = {t}")
-                        w.put("continue")
-                    case ("br", cond, bt, bf):
-                        w.put(f"_b = {bt} if ({cond}) else {bf}")
-                        w.put("continue")
-                    case ("yield", sid, _hint):
-                        on_yield(w, sid)
-                    case ("finish",):
-                        on_finish(w)
-        w.put("else:")
-        with w.indent():
-            w.put('raise AssertionError(f"no block {_b}")')
+        em = _RoutineEmitter(w, cdef, cell=cell if has_result else None)
+        em.body(cdef.body)
+        if not em.yields:
+            # Without a suspension point the body would be a plain
+            # function; this keeps it a generator and yields nothing.
+            w.put("yield from ()")
+    return params
 
 
 # -- dynamic (per-task generator, any control flow)
@@ -177,33 +154,24 @@ def _emit_dispatch(w: _W, fsm: Fsm, block_ids, *, result_lhs: str,
 def emit_dynamic(cdef: CoroutineDef) -> SourceText:
     """Resumable per-task unit: ``make_<name>(shared...)`` -> class.
 
-    The body is printed once, as a generator nested in the factory:
-    every suspension point yields False, and a return stores its value
-    in a per-instance result cell, so the generator holds no reference
-    back to the instance driving it.  ``step()`` advances the generator
-    and returns True at and after completion; ``reset()`` (and so the
-    pull-reject restart path) builds a fresh generator from the stored
-    args, which the body's own mutations never touch.
+    The body is printed once, as a generator nested in the factory
+    whose returns store into a per-instance result cell.  ``step()``
+    advances the generator and returns True at and after completion;
+    ``reset()`` (and so the pull-reject restart path) builds a fresh
+    generator from the stored args, which the body's own mutations
+    never touch.
     """
     _check_valid(cdef)
     cls = f"CoroutineState_{cdef.name}"
     factory = f"make_{cdef.name}"
     args = [d.name for d in cdef.args]
     has_result = cdef.result_decl is not None
-    params = args + (["_out"] if has_result else [])
     slots = ("_args", "_gen") + (("_out",) if has_result else ())
 
     w = _W()
     w.put(f"def {factory}({', '.join(_shared_names(cdef))}):")
     with w.indent():
-        w.put(f"def _run({', '.join(params)}):")
-        with w.indent():
-            em = _RoutineEmitter(w, cdef, cell="_out[0]" if has_result else None)
-            em.body(cdef.body)
-            if not em.yields:
-                # Without a suspension point the body would be a plain
-                # function; this keeps it a generator and yields nothing.
-                w.put("yield from ()")
+        params = _emit_run(w, cdef, "_out", "_out[0]")
         w.put()
         w.put(f"class {cls}:")
         with w.indent():
@@ -238,105 +206,70 @@ def emit_dynamic(cdef: CoroutineDef) -> SourceText:
     return SourceText(factory, _header(cdef.name), w.text())
 
 
-# -- static (fixed-width lockstep batch)
+# -- static and hybrid (one generator per lane)
 
 
-def _soa_slots(cdef: CoroutineDef, ctx: ContextSpec, *, per_lane_state: bool) -> list[str]:
-    slots = []
-    if per_lane_state:
-        slots.append("_state")
-    slots.append("_result")
-    slots += [t for t in ("_cond", "_addr") if t in ctx.internal]
-    slots += [f"_soa_{d.name}" for d in ctx.args + ctx.variables]
-    return slots
+def _emit_lanes(cdef: CoroutineDef, width: int, factory: str, cls: str, doc: str,
+                consts: str, methods: str, *, stage: bool) -> SourceText:
+    """A fixed-width unit holding one ``_run`` generator per lane.
 
-
-def _emit_lane_copy(w: _W, names: list[str], temps: list[str], i: str, *, direction: str) -> None:
-    lanes = [(n, f"_soa_{n}[{i}]") for n in names] + [(t, f"{t}_col[{i}]") for t in temps]
-    for local, lane in lanes:
-        w.put(f"{local} = {lane}" if direction == "in" else f"{lane} = {local}")
-
-
-def _emit_stage_loop(w: _W, fsm: Fsm, stage_id: int, width: int,
-                     names: list[str], temps: list[str]) -> None:
-    """One lockstep width loop for a straight-line stage.
-
-    Each lane runs this stage's blocks to the stage-ending yield (copy
-    lane state out, next lane) or to finish (lane result is already
-    stored).
+    ``init(*columns)`` builds the lane generators, whose valued returns
+    store into the lane's cell of ``_result``; ``fini`` copies that
+    list out.  ``consts`` and ``methods`` are the text of the class
+    constants and of the methods that advance the lanes; with ``stage``
+    the unit also keeps a ``_stage`` counter, which ``init`` rewinds.
     """
-    st = fsm.stages[stage_id]
-    entry = fsm.state_entry[stage_id]
-    w.put(f"for _i in range({width}):")
+    args = [d.name for d in cdef.args]
+    slots = (("_stage",) if stage else ()) + ("_gens", "_result")
+
+    w = _W()
+    w.put(f"def {factory}({', '.join(_shared_names(cdef))}):")
     with w.indent():
-        _emit_lane_copy(w, names, temps, "_i", direction="in")
-        if len(st.block_ids) == 1:
-            blk = fsm.blocks[entry]
-            _emit_ops(w, blk.ops, result_lhs="_result_col[_i]")
-            if blk.term[0] == "yield":
-                _emit_lane_copy(w, names, temps, "_i", direction="out")
-        else:
-
-            def on_yield(w: _W, sid: int) -> None:
-                _emit_lane_copy(w, names, temps, "_i", direction="out")
-                w.put("break")
-
-            def on_finish(w: _W) -> None:
-                w.put("break")
-
-            w.put(f"_b = {entry}")
-            _emit_dispatch(
-                w, fsm, st.block_ids, result_lhs="_result_col[_i]",
-                on_yield=on_yield, on_finish=on_finish,
-            )
-
-
-def _emit_col_aliases(w: _W, names: list[str], temps: list[str], *, result: bool) -> None:
-    for n in names:
-        w.put(f"_soa_{n} = self._soa_{n}")
-    for t in temps:
-        w.put(f"{t}_col = self.{t}")
-    if result:
-        w.put("_result_col = self._result")
-
-
-def _emit_init(w: _W, cdef: CoroutineDef, ctx: ContextSpec, width: int,
-               *, scalar_stage: bool, lane_state: str | None) -> None:
-    """Batch (re)initialization: load arg lanes, rewind the schedule."""
-    args = [d.name for d in ctx.args]
-    w.put(f"def init(self{''.join(', ' + a for a in args)}):")
-    with w.indent():
-        if scalar_stage:
-            w.put("self._stage = 0")
-        for a in args:
-            w.put(f"_soa_{a} = self._soa_{a}")
-        if lane_state is not None:
-            w.put("_state = self._state")
-        w.put(f"for _i in range({width}):")
+        params = _emit_run(w, cdef, "_out, _i", "_out[_i]")
+        # lane _i takes its args from column cells of init's arguments
+        lanes = [f"{p}[_i]" if p in args else p for p in params]
+        w.put()
+        w.put(f"class {cls}:")
         with w.indent():
-            for a in args:
-                w.put(f"_soa_{a}[_i] = {a}[_i]")
-            if lane_state is not None:
-                w.put(f"_state[_i] = {lane_state}")
-            if not args and lane_state is None:
-                w.put("pass")
-
-
-def _emit_fini(w: _W, width: int) -> None:
-    w.put("def fini(self, out):")
-    with w.indent():
-        w.put("_result_col = self._result")
-        w.put(f"for _i in range({width}):")
-        with w.indent():
-            w.put("out[_i] = _result_col[_i]")
+            w.put(f'"""{cdef.name} across {width} {doc}"""')
+            w.put()
+            w.put(f"__slots__ = {slots!r}")
+            w.put()
+            w.put(f"_WIDTH = {width}")
+            w.put_stmt_text(consts)
+            w.put()
+            w.put("def __init__(self):")
+            with w.indent():
+                if stage:
+                    w.put("self._stage = 0")
+                w.put("self._gens = ()")
+                w.put(f"self._result = [None] * {width}")
+            w.put()
+            w.put(f"def init(self{''.join(', ' + a for a in args)}):")
+            with w.indent():
+                if stage:
+                    w.put("self._stage = 0")
+                if cdef.result_decl is not None:
+                    w.put(f"self._result = _out = [None] * {width}")
+                w.put(f"self._gens = [_run({', '.join(lanes)}) for _i in range({width})]")
+            w.put()
+            w.put_stmt_text(methods)
+            w.put()
+            w.put("def fini(self, out):")
+            with w.indent():
+                w.put(f"out[:{width}] = self._result")
+        w.put()
+        w.put(f"return {cls}")
+    return SourceText(factory, _header(cdef.name), w.text())
 
 
 def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
     """Lockstep batch unit: ``make_<name>_<width>(shared...)`` -> class.
 
     Requires a straight-line state machine (stage k suspends only into
-    stage k+1).  ``super_step()`` advances every lane one stage and
-    returns True once the final stage ran; lane state lives in columns.
+    stage k+1), so every lane suspends exactly once per stage.
+    ``super_step()`` advances each lane's generator once, in lane
+    order, and returns True once the final stage ran.
     """
     if width < 1:
         raise CodegenError(f"{cdef.name}: width must be >= 1, got {width}")
@@ -344,167 +277,57 @@ def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
     err = straight_line_error(fsm)
     if err is not None:
         raise CodegenError(f"{cdef.name}: {err}")
-    ctx = compute_context(cdef, fsm)
     nstages = len(fsm.state_entry)
-    cls = f"CoroutineState_{cdef.name}_{width}"
-    factory = f"make_{cdef.name}_{width}"
-    names = [d.name for d in ctx.args + ctx.variables]
-    temps = [t for t in ("_cond", "_addr") if t in ctx.internal]
-    slots = tuple(["_stage"] + _soa_slots(cdef, ctx, per_lane_state=False))
-
-    w = _W()
-    w.put(f"def {factory}({', '.join(_shared_names(cdef))}):")
-    with w.indent():
-        w.put(f"class {cls}:")
-        with w.indent():
-            w.put(f'"""{cdef.name} across {width} lockstep lanes,'
-                  f" {nstages} stage(s) per batch.\"\"\"")
-            w.put()
-            w.put(f"__slots__ = {slots!r}")
-            w.put()
-            w.put(f"_WIDTH = {width}")
-            w.put(f"_STAGES = {nstages}")
-            w.put()
-            w.put("def __init__(self):")
-            with w.indent():
-                w.put("self._stage = 0")
-                for s in slots[1:]:
-                    w.put(f"self.{s} = [None] * {width}")
-            w.put()
-            _emit_init(w, cdef, ctx, width, scalar_stage=True, lane_state=None)
-            w.put()
-            w.put("def super_step(self):")
-            with w.indent():
-                w.put("_stage = self._stage")
-                w.put(f"if _stage >= {nstages}:")
-                with w.indent():
-                    w.put("return True")
-                _emit_col_aliases(w, names, temps, result=True)
-                for k in range(nstages):
-                    w.put(f"if _stage == {k}:")
-                    with w.indent():
-                        _emit_stage_loop(w, fsm, k, width, names, temps)
-                        w.put(f"self._stage = {k + 1}")
-                        w.put(f"return {k == nstages - 1}")
-                w.put("return True")
-            w.put()
-            _emit_fini(w, width)
-        w.put()
-        w.put(f"return {cls}")
-    return SourceText(factory, _header(cdef.name), w.text())
-
-
-# -- hybrid (static stage prefix, dynamic per-lane suffix)
-
-
-def _tail_blocks(fsm: Fsm, prefix: int) -> list[int]:
-    """Blocks of every stage reachable from state ``prefix``.
-
-    Follows stage successors rather than taking the stages numbered
-    ``prefix`` and up: a tail-resume jumps back to block 0, whose
-    stage-0 code then re-enters the prefix states.
-    """
-    seen: set[int] = set()
-    work = [prefix]
-    while work:
-        sid = work.pop()
-        if sid in seen or sid == fsm.finished_id:
-            continue
-        seen.add(sid)
-        work.extend(fsm.stages[sid].successors)
-    return sorted({b for sid in seen for b in fsm.stages[sid].block_ids})
+    return _emit_lanes(
+        cdef, width, f"make_{cdef.name}_{width}", f"CoroutineState_{cdef.name}_{width}",
+        f"lockstep lanes, {nstages} stage(s) per batch.",
+        f"_STAGES = {nstages}",
+        f"""
+        def super_step(self):
+            _stage = self._stage
+            if _stage >= {nstages}:
+                return True
+            for _g in self._gens:
+                next(_g, None)
+            self._stage = _stage + 1
+            return _stage == {nstages - 1}
+        """,
+        stage=True,
+    )
 
 
 def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
     """Prefix-lockstep unit: ``make_hybrid_<name>_<width>(shared...)``.
 
-    ``run_prefix()`` marches all lanes through the statically hinted
-    leading stages in lockstep; afterwards each lane is stepped to
-    completion with ``step_slot(i)`` on the same columnar storage.
+    ``run_prefix()`` advances every lane's generator through the
+    statically hinted leading stages, one stage at a time across all
+    lanes; afterwards ``step_slot(i)`` advances lane ``i`` alone and
+    returns True at and after its completion.
     """
     if width < 1:
         raise CodegenError(f"{cdef.name}: width must be >= 1, got {width}")
-    fsm = split_stages(cdef)
-    prefix = static_prefix_len(fsm)
+    prefix = static_prefix_len(split_stages(cdef))
     if prefix < 1:
         raise CodegenError(
             f"{cdef.name}: no statically scheduled stage prefix; hint the"
             " leading yields as static, or use the dynamic unit"
         )
-    ctx = compute_context(cdef, fsm)
-    finished = fsm.finished_id
-    cls = f"CoroutineHybrid_{cdef.name}_{width}"
-    factory = f"make_hybrid_{cdef.name}_{width}"
-    names = [d.name for d in ctx.args + ctx.variables]
-    temps = [t for t in ("_cond", "_addr") if t in ctx.internal]
-    slots = tuple(_soa_slots(cdef, ctx, per_lane_state=True))
+    return _emit_lanes(
+        cdef, width, f"make_hybrid_{cdef.name}_{width}", f"CoroutineHybrid_{cdef.name}_{width}",
+        f"lanes: {prefix} lockstep stage(s), then per-lane stepping.",
+        f"_PREFIX = {prefix}",
+        f"""
+        def run_prefix(self):
+            _gens = self._gens
+            for _k in range({prefix}):
+                for _g in _gens:
+                    next(_g, None)
 
-    w = _W()
-    w.put(f"def {factory}({', '.join(_shared_names(cdef))}):")
-    with w.indent():
-        w.put(f"class {cls}:")
-        with w.indent():
-            w.put(f'"""{cdef.name} across {width} lanes: {prefix} lockstep'
-                  f" stage(s), then per-lane stepping.\"\"\"")
-            w.put()
-            w.put(f"__slots__ = {slots!r}")
-            w.put()
-            w.put(f"_WIDTH = {width}")
-            w.put(f"_PREFIX = {prefix}")
-            w.put(f"_FINISHED = {finished}")
-            w.put()
-            w.put("def __init__(self):")
-            with w.indent():
-                for s in slots:
-                    w.put(f"self.{s} = [None] * {width}")
-            w.put()
-            _emit_init(w, cdef, ctx, width, scalar_stage=False, lane_state="0")
-            w.put()
-            w.put("def run_prefix(self):")
-            with w.indent():
-                _emit_col_aliases(w, names, temps, result=True)
-                for k in range(prefix):
-                    _emit_stage_loop(w, fsm, k, width, names, temps)
-                w.put("_state = self._state")
-                w.put(f"for _i in range({width}):")
-                with w.indent():
-                    w.put(f"_state[_i] = {prefix}")
-            w.put()
-            w.put("def step_slot(self, _i):")
-            with w.indent():
-                w.put("_s = self._state[_i]")
-                w.put(f"if _s == {finished}:")
-                with w.indent():
-                    w.put("return True")
-                for n in names:
-                    w.put(f"{n} = self._soa_{n}[_i]")
-                for t in temps:
-                    w.put(f"{t} = self.{t}[_i]")
-                entries = ", ".join(str(b) for b in fsm.state_entry)
-                w.put(f"_b = ({entries},)[_s]")
-
-                def on_yield(w: _W, sid: int) -> None:
-                    for n in names:
-                        w.put(f"self._soa_{n}[_i] = {n}")
-                    for t in temps:
-                        w.put(f"self.{t}[_i] = {t}")
-                    w.put(f"self._state[_i] = {sid}")
-                    w.put("return False")
-
-                def on_finish(w: _W) -> None:
-                    w.put(f"self._state[_i] = {finished}")
-                    w.put("return True")
-
-                _emit_dispatch(
-                    w, fsm, _tail_blocks(fsm, prefix),
-                    result_lhs="self._result[_i]", on_yield=on_yield,
-                    on_finish=on_finish,
-                )
-            w.put()
-            _emit_fini(w, width)
-        w.put()
-        w.put(f"return {cls}")
-    return SourceText(factory, _header(cdef.name), w.text())
+        def step_slot(self, _i):
+            return next(self._gens[_i], True)
+        """,
+        stage=False,
+    )
 
 
 # -- plain sequential routine and the shared statement emitter

@@ -5,8 +5,10 @@ blocks with explicit terminators and allocates one resumption state per
 suspension point, in program order of first appearance.  State 0 is the
 entry; ``finished_id`` (== suspension count + 1) is a pseudo-state with
 no code.  A block list plus a state->entry-block table is enough for a
-code generator to produce a portable dispatch loop, which is the
-lowering strategy used here instead of interleaved switch labels.
+native code generator to produce a portable dispatch loop.  The Python
+emitters print generators instead; here the stage graph decides which
+schedules a definition qualifies for (``straight_line_error``,
+``static_prefix_len``) and is what ``fsm_dump`` prints.
 
 ``strip_yields`` produces the sequential twin of a definition (all
 suspension points and prefetches removed); it is the baseline that

@@ -206,7 +206,7 @@ def run_hybrid(
 
     Each width group runs the statically scheduled stage prefix in
     lockstep, then the remaining stages per lane with round-robin
-    stepping on the same columnar storage.  Returns the task count.
+    stepping.  Returns the task count.
     """
     width = config.width
     unit_width = getattr(type(unit), "_WIDTH", None)

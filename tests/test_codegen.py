@@ -233,6 +233,25 @@ class TestDeterminismAndShape:
         # a generator unit dispatches on nothing and holds no FSM state
         assert "_b = " not in text and "_state" not in text
 
+    def test_lane_units_hold_no_fsm_state(self):
+        # every static and hybrid unit the kernels and the mixer admit
+        # runs lane generators: no block dispatch, no state column
+        texts = {}
+        for name, k in sorted(KERNELS.items()):
+            for shape, emit, build_def in (
+                ("static", emit_static, k.build_def),
+                ("hybrid", emit_hybrid, k.build_hybrid_def or k.build_def),
+            ):
+                try:
+                    texts[name, shape] = emit(build_def(), 8).text
+                except CodegenError:
+                    pass
+        texts["mixer", "hybrid"] = emit_hybrid(hybrid_tail_def(), 4).text
+        assert sorted(texts) == [("ht", "hybrid"), ("ht", "static"), ("mixer", "hybrid")]
+        for key, text in texts.items():
+            assert "_b =" not in text and "_state" not in text, key
+            assert "for _i in range(" in text, key
+
 
 class TestDynamicUnit:
     def test_step_contract(self):
@@ -435,6 +454,29 @@ def run_lockstep(runner, make, width):
     return out
 
 
+def unset_read_def():
+    """Reads a declared variable that has no initializer and no assignment."""
+    return (
+        coroutine("unset")
+        .result("int", "out")
+        .arg("int", "x")
+        .variable("int", "t")
+        .body(yield_("static"), return_("t"))
+    )
+
+
+def test_unset_read_raises_in_every_shape():
+    d = unset_read_def()
+    with pytest.raises(NameError):
+        load_unit(emit_routine(d))(1)
+    with pytest.raises(NameError):
+        run_dynamic(load_unit(emit_dynamic(d))(), 1)
+    with pytest.raises(NameError):
+        run_lockstep(run_static_batch, load_unit(emit_static(d, 2))(), 2)
+    with pytest.raises(NameError):
+        run_lockstep(run_hybrid, load_unit(emit_hybrid(d, 2))(), 2)
+
+
 class TestStaticUnit:
     @settings(max_examples=40, deadline=None)
     @given(defgen.straight_line_defs())
@@ -536,12 +578,6 @@ class TestHybridUnit:
         make = load_unit(emit_hybrid(d, 3))()
         assert make._PREFIX == 2
         assert run_lockstep(run_hybrid, make, 3) == [routine(x) for (x,) in FUZZ_TASKS]
-
-    def test_step_slot_has_no_arms_for_prefix_only_blocks(self):
-        # the mixer's prefix stages are single blocks that only
-        # run_prefix reaches, and run_prefix needs no dispatch for them
-        text = emit_hybrid(hybrid_tail_def(), 4).text
-        assert "if _b == 0:" not in text
 
     @settings(max_examples=40, deadline=None)
     @given(defgen.hinted_prefix_defs())

@@ -7,7 +7,10 @@ import defgen
 from coroweave import (
     LoweringError,
     compute_context,
+    emit_dynamic,
+    emit_routine,
     fsm_dump,
+    load_unit,
     split_stages,
     static_prefix_len,
     straight_line_error,
@@ -31,6 +34,7 @@ from coroweave.dsl import (
 from coroweave.kernels import KERNELS
 from coroweave.kernels.defs import hashtable_find_def
 from coroweave.lowering import INTERNAL_FIELDS
+from fsm_interp import run_fsm
 
 # One dump line per resume state: op count and successor states.  These
 # pin down the exact machine each kernel lowers to.
@@ -189,6 +193,49 @@ class TestSplitStages:
         for st in fsm.stages:
             for s in st.successors:
                 assert 0 <= s <= fsm.finished_id
+
+
+class TestInterpretedFsm:
+    """The lowered blocks, run op by op, against the printed units.
+
+    Every generated shape prints the definition through one statement
+    emitter; the interpreter runs the lowering instead, so the two
+    translations of the tree check each other.
+    """
+
+    def agree(self, d):
+        fsm = split_stages(d)
+        routine = load_unit(emit_routine(d))
+        dynamic = load_unit(emit_dynamic(d))()
+        for x in (0, 1, 7, 58, 999):
+            got, suspensions = run_fsm(fsm, {"x": x})
+            assert got == routine(x), x
+            inst = dynamic(x)
+            steps = 1
+            while not inst.step():
+                steps += 1
+            assert steps == suspensions + 1, x
+
+    @settings(max_examples=60, deadline=None)
+    @given(defgen.coroutine_defs())
+    def test_matches_routine_everywhere(self, d):
+        self.agree(d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(defgen.hinted_prefix_defs())
+    def test_matches_routine_through_tail_resumes(self, d):
+        self.agree(d)
+
+    def test_tail_resume_rebinds_args_from_old_values(self):
+        d = (
+            coroutine("swap").result("int").arg("int", "a").arg("int", "b")
+            .body(
+                if_("a < b").then_(yield_(), call("swap", "b", "a")),
+                return_("a * 100 + b"),
+            )
+        )
+        assert run_fsm(split_stages(d), {"a": 3, "b": 7}) == (703, 1)
+        assert load_unit(emit_routine(d))(3, 7) == 703
 
 
 class TestComputeContext:

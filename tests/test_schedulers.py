@@ -1,6 +1,12 @@
 """Scheduler semantics: exactly-once, ordering, backpressure, batching."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import defgen
 
 from coroweave import (
     DrainOrder,
@@ -355,3 +361,67 @@ class TestInterleaveMap:
         for width in (1, 2, 48):
             out = interleave_map(SchedulerConfig(width=width), cls, tasks)
             assert out == [routine(t) for t in range(25)]
+
+
+# One input per task for random definitions; distinct inputs make most
+# tasks' results differ, so a result delivered to the wrong task shows.
+RANDOM_XS = [0, 1, 7, 58, 999, 3, 12, 40, 5]
+
+
+class TestDynamicSchedulersOnRandomDefs:
+    """Random definitions through the dynamic schedulers, against the routine."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(defgen.coroutine_defs(), st.integers(1, 6))
+    def test_simplest_delivers_each_task_once(self, d, width):
+        want = [load_unit(emit_routine(d))(x) for x in RANDOM_XS]
+        make = load_unit(emit_dynamic(d))()
+        for drain in DrainOrder:
+            slot_task: dict[int, int] = {}
+            built: list[int] = []
+            got: list[tuple[int, object]] = []
+
+            def refill(slot, task_index):
+                slot_task[slot] = task_index
+                built.append(task_index)
+                return make(RANDOM_XS[task_index])
+
+            def on_complete(slot, inst):
+                got.append((slot_task[slot], inst.result()))
+
+            cfg = SchedulerConfig(width=width, drain=drain)
+            assert run_simplest(cfg, len(RANDOM_XS), refill, on_complete) == len(RANDOM_XS)
+            assert built == list(range(len(RANDOM_XS)))
+            assert sorted(t for t, _ in got) == list(range(len(RANDOM_XS))), drain
+            assert dict(got) == dict(enumerate(want)), drain
+
+    @settings(max_examples=30, deadline=None)
+    @given(defgen.coroutine_defs(), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_push_pull_delivers_each_task_once(self, d, width, seed):
+        want = [load_unit(emit_routine(d))(x) for x in RANDOM_XS]
+        make = load_unit(emit_dynamic(d))()
+        rng = random.Random(seed)
+        queue = list(range(len(RANDOM_XS)))
+        slot_task: dict[int, int] = {}
+        offers = [0] * len(RANDOM_XS)
+        accepted: list[int] = []
+
+        def push(slot):
+            if not queue:
+                return None
+            slot_task[slot] = queue.pop(0)
+            return make(RANDOM_XS[slot_task[slot]])
+
+        def pull(slot, inst):
+            # a reset instance recomputes in its slot, so every offer of a
+            # task, rejected or not, must carry the routine's answer
+            t = slot_task[slot]
+            offers[t] += 1
+            assert inst.result() == want[t], (t, offers[t])
+            if offers[t] <= 2 and rng.random() < 0.4:
+                return False
+            accepted.append(t)
+            return True
+
+        assert run_push_pull(SchedulerConfig(width=width), push, pull) == len(RANDOM_XS)
+        assert sorted(accepted) == list(range(len(RANDOM_XS)))
