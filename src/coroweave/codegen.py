@@ -7,11 +7,12 @@ Four emitters, in two families:
 * ``emit_dynamic``: a resumable per-task class driven through
   ``step()``; any control flow is allowed because the body runs as a
   Python generator, which keeps its own resume point and locals.
-* ``emit_static``: a fixed-width batch class that marches all lanes
-  through the stages in lockstep; requires the state machine to be a
-  straight line.
-* ``emit_hybrid``: fixed-width lanes that run a statically scheduled
-  stage prefix in lockstep, then finish each lane dynamically.
+* ``emit_static``: a batch class of up to ``width`` lanes, one per
+  task, that marches all lanes through the stages in lockstep;
+  requires the state machine to be a straight line.
+* ``emit_hybrid``: up to ``width`` lanes that run a statically
+  scheduled stage prefix in lockstep, then finish each lane
+  dynamically.
 
 All four print the definition's structured control flow through one
 statement emitter.  The dynamic, static and hybrid units run it as a
@@ -211,27 +212,31 @@ def emit_dynamic(cdef: CoroutineDef) -> SourceText:
 
 def _emit_lanes(cdef: CoroutineDef, width: int, factory: str, cls: str, doc: str,
                 consts: str, methods: str, *, stage: bool) -> SourceText:
-    """A fixed-width unit holding one ``_run`` generator per lane.
+    """A unit holding one ``_run`` generator per task, up to ``width``.
 
-    ``init(*columns)`` builds the lane generators, whose valued returns
-    store into the lane's cell of ``_result``; ``fini`` copies that
-    list out.  ``consts`` and ``methods`` are the text of the class
-    constants and of the methods that advance the lanes; with ``stage``
-    the unit also keeps a ``_stage`` counter, which ``init`` rewinds.
+    ``init(tasks)`` takes the group's per-task arg tuples and builds one
+    lane generator per tuple, whose valued return stores into the
+    lane's cell of ``_result``; ``fini(out)`` copies one cell per lane
+    into the head of ``out``.  ``consts`` and ``methods`` are the text
+    of the class constants and of the methods that advance the lanes;
+    with ``stage`` the unit also keeps a ``_stage`` counter, which
+    ``init`` rewinds.
     """
     args = [d.name for d in cdef.args]
+    has_result = cdef.result_decl is not None
     slots = (("_stage",) if stage else ()) + ("_gens", "_result")
+    # a lane unpacks its task tuple positionally
+    target = f"({', '.join(args)}{',' if len(args) == 1 else ''})"
+    lanes = f"_i, {target} in enumerate(tasks)" if has_result else f"{target} in tasks"
 
     w = _W()
     w.put(f"def {factory}({', '.join(_shared_names(cdef))}):")
     with w.indent():
         params = _emit_run(w, cdef, "_out, _i", "_out[_i]")
-        # lane _i takes its args from column cells of init's arguments
-        lanes = [f"{p}[_i]" if p in args else p for p in params]
         w.put()
         w.put(f"class {cls}:")
         with w.indent():
-            w.put(f'"""{cdef.name} across {width} {doc}"""')
+            w.put(f'"""{cdef.name} across up to {width} {doc}"""')
             w.put()
             w.put(f"__slots__ = {slots!r}")
             w.put()
@@ -243,21 +248,20 @@ def _emit_lanes(cdef: CoroutineDef, width: int, factory: str, cls: str, doc: str
                 if stage:
                     w.put("self._stage = 0")
                 w.put("self._gens = ()")
-                w.put(f"self._result = [None] * {width}")
+                w.put("self._result = []")
             w.put()
-            w.put(f"def init(self{''.join(', ' + a for a in args)}):")
+            w.put("def init(self, tasks):")
             with w.indent():
                 if stage:
                     w.put("self._stage = 0")
-                if cdef.result_decl is not None:
-                    w.put(f"self._result = _out = [None] * {width}")
-                w.put(f"self._gens = [_run({', '.join(lanes)}) for _i in range({width})]")
+                w.put(f"self._result = {'_out = ' if has_result else ''}[None] * len(tasks)")
+                w.put(f"self._gens = [_run({', '.join(params)}) for {lanes}]")
             w.put()
             w.put_stmt_text(methods)
             w.put()
             w.put("def fini(self, out):")
             with w.indent():
-                w.put(f"out[:{width}] = self._result")
+                w.put("out[:len(self._result)] = self._result")
         w.put()
         w.put(f"return {cls}")
     return SourceText(factory, _header(cdef.name), w.text())
@@ -268,6 +272,7 @@ def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
 
     Requires a straight-line state machine (stage k suspends only into
     stage k+1), so every lane suspends exactly once per stage.
+    ``init(tasks)`` builds one lane per task, up to ``width``;
     ``super_step()`` advances each lane's generator once, in lane
     order, and returns True once the final stage ran.
     """
@@ -299,6 +304,7 @@ def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
 def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
     """Prefix-lockstep unit: ``make_hybrid_<name>_<width>(shared...)``.
 
+    ``init(tasks)`` builds one lane per task, up to ``width``;
     ``run_prefix()`` advances every lane's generator through the
     statically hinted leading stages, one stage at a time across all
     lanes; afterwards ``step_slot(i)`` advances lane ``i`` alone and

@@ -9,7 +9,7 @@ no-op; tests and tracers install a hook to observe the address stream
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 __all__ = [
     "prefetch",
@@ -92,15 +92,16 @@ class StepCoroutine(Protocol):
 
 @runtime_checkable
 class BatchCoroutine(Protocol):
-    """Contract of generated fixed-width batch coroutines.
+    """Contract of generated batch coroutines.
 
-    ``init`` loads one argument sequence per declared arg (each of the
-    batch width), ``super_step()`` advances every lane by one stage and
-    returns True when all lanes are finished, ``fini`` copies lane
-    results into ``out``.
+    ``init(tasks)`` takes one arg tuple per task, at most the unit's
+    ``_WIDTH`` of them, and builds one lane per task;
+    ``super_step()`` advances every lane by one stage and returns True
+    when all lanes are finished; ``fini(out)`` writes one result per
+    lane into the head of ``out``.
     """
 
-    def init(self, *args: Any) -> None: ...
+    def init(self, tasks: Sequence[tuple]) -> None: ...
 
     def super_step(self) -> bool: ...
 

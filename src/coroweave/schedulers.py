@@ -150,17 +150,6 @@ def run_push_pull(
     return accepted
 
 
-def _pad_group(group: list, width: int, pad: tuple | None) -> list:
-    if len(group) == width:
-        return group
-    filler = pad if pad is not None else group[-1]
-    return group + [filler] * (width - len(group))
-
-
-def _columns(group: list, nargs: int) -> list[list]:
-    return [[task[j] for task in group] for j in range(nargs)]
-
-
 def run_static_batch(
     config: SchedulerConfig,
     batch: BatchCoroutine,
@@ -171,27 +160,23 @@ def run_static_batch(
     """Drive a lockstep batch unit over ``inputs`` in width groups.
 
     ``inputs`` holds one arg tuple per task; results land in
-    ``outputs`` by task index.  A short final group is padded with
-    ``pad`` (default: the group's last real input) and the padding
-    lanes' results are discarded.  Returns the task count.
+    ``outputs`` by task index.  Each group runs one lane per task, so
+    a short final group runs only its real tasks.  ``pad`` is accepted
+    for callers written against padded groups and ignored.  Returns
+    the task count.
     """
     width = config.width
     unit_width = getattr(type(batch), "_WIDTH", None)
     if unit_width is not None and unit_width != width:
         raise ValueError(f"config width {width} != batch unit width {unit_width}")
-    if not inputs:
-        return 0
-    nargs = len(inputs[0])
     buf: list[Any] = [None] * width
     for g in range(0, len(inputs), width):
-        group = list(inputs[g:g + width])
-        real = len(group)
-        group = _pad_group(group, width, pad)
-        batch.init(*_columns(group, nargs))
+        group = inputs[g:g + width]
+        batch.init(group)
         while not batch.super_step():
             pass
         batch.fini(buf)
-        outputs[g:g + real] = buf[:real]
+        outputs[g:g + len(group)] = buf[:len(group)]
     return len(inputs)
 
 
@@ -204,33 +189,26 @@ def run_hybrid(
 ) -> int:
     """Drive a prefix-lockstep unit: batch prefix, per-lane finish.
 
-    Each width group runs the statically scheduled stage prefix in
-    lockstep, then the remaining stages per lane with round-robin
-    stepping.  Returns the task count.
+    Each width group runs one lane per task: the statically scheduled
+    stage prefix in lockstep, then the remaining stages by round-robin
+    stepping over the lanes still live, in lane order.  ``pad`` is
+    accepted for callers written against padded groups and ignored.
+    Returns the task count.
     """
     width = config.width
     unit_width = getattr(type(unit), "_WIDTH", None)
     if unit_width is not None and unit_width != width:
         raise ValueError(f"config width {width} != hybrid unit width {unit_width}")
-    if not inputs:
-        return 0
-    nargs = len(inputs[0])
     buf: list[Any] = [None] * width
     for g in range(0, len(inputs), width):
-        group = list(inputs[g:g + width])
-        real = len(group)
-        group = _pad_group(group, width, pad)
-        unit.init(*_columns(group, nargs))
+        group = inputs[g:g + width]
+        unit.init(group)
         unit.run_prefix()
-        live = width
-        pending = [True] * width
+        live = range(len(group))
         while live:
-            for i in range(width):
-                if pending[i] and unit.step_slot(i):
-                    pending[i] = False
-                    live -= 1
+            live = [i for i in live if not unit.step_slot(i)]
         unit.fini(buf)
-        outputs[g:g + real] = buf[:real]
+        outputs[g:g + len(group)] = buf[:len(group)]
     return len(inputs)
 
 

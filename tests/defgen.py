@@ -21,6 +21,13 @@ feed the lockstep emitters: ``straight_line_defs`` (yield-free segments
 between suspension points, so the stage graph is a straight line) and
 ``hinted_prefix_defs`` (a statically hinted first stage, the random
 body, then a guarded self tail-resume that halves ``x``).
+
+With ``tally=True`` those two also take a shared list ``tally`` of
+``TALLY_CELLS`` ints and increment cells of it, always once at the top
+level and elsewhere at random.  An increment never spans a suspension
+and nothing reads the list into a result, so the list's final contents
+depend only on how many times each task ran each increment, not on the
+interleaving.
 """
 
 from __future__ import annotations
@@ -54,6 +61,7 @@ from coroweave.dsl import (
 MAX_DEPTH = 3
 MAX_STMTS = 4
 HINTS = ("default", "static", "dynamic")
+TALLY_CELLS = 8
 
 
 @dataclass
@@ -64,6 +72,7 @@ class _Pool:
     counters: list[str] = field(default_factory=lambda: [f"c{i}" for i in range(6)])
     locals_: list[str] = field(default_factory=lambda: [f"l{i}" for i in range(4)])
     used_counters: list[tuple[str, str]] = field(default_factory=list)
+    tally: bool = False
 
 
 def _expr(draw, pool: _Pool) -> str:
@@ -97,6 +106,8 @@ def _cond(draw, pool: _Pool) -> str:
 def _stmt(draw, pool: _Pool, depth: int, in_loop: bool, yields: bool = True):
     """One random statement; with ``yields`` False it never suspends."""
     choices = ["assign", "assign", "prefetch", "opaque", "load", "store", "if"]
+    if pool.tally:
+        choices.append("tally")
     if yields:
         choices.append("yield")
     if depth < MAX_DEPTH:
@@ -123,6 +134,8 @@ def _stmt(draw, pool: _Pool, depth: int, in_loop: bool, yields: bool = True):
         )
     if kind == "store":
         return store(draw(st.sampled_from(pool.names[1:])), _expr(draw, pool))
+    if kind == "tally":
+        return _tally(draw, pool)
     if kind == "if":
         b = if_(_cond(draw, pool))
         if yields and depth < MAX_DEPTH and draw(st.booleans()):
@@ -166,6 +179,11 @@ def _stmt(draw, pool: _Pool, depth: int, in_loop: bool, yields: bool = True):
     raise AssertionError(kind)
 
 
+def _tally(draw, pool: _Pool):
+    cell = f"tally[({_expr(draw, pool)}) % {TALLY_CELLS}]"
+    return store(cell, f"{cell} + 1")
+
+
 def _suite(draw, pool: _Pool, depth: int, in_loop: bool, yields: bool = True) -> list:
     return [
         _stmt(draw, pool, depth, in_loop, yields)
@@ -176,6 +194,8 @@ def _suite(draw, pool: _Pool, depth: int, in_loop: bool, yields: bool = True) ->
 def _define(draw, pool: _Pool, body: list) -> CoroutineDef:
     body.append(return_("(x + v0 + v1 + v2) & 0xFFFF"))
     b = coroutine("scrambler").result("int", "res").arg("int", "x")
+    if pool.tally:
+        b = b.shared_arg("list", "tally")
     for v in ("v0", "v1", "v2"):
         b = b.variable("int", v, draw(st.sampled_from(["0", "1", "9"])))
     for name, bound in pool.used_counters:
@@ -208,10 +228,10 @@ def _suspension(draw, pool: _Pool):
 
 
 @st.composite
-def straight_line_defs(draw) -> CoroutineDef:
+def straight_line_defs(draw, tally: bool = False) -> CoroutineDef:
     """Yield-free segments (any control flow inside) between suspensions."""
-    pool = _Pool()
-    body = []
+    pool = _Pool(tally=tally)
+    body = [_tally(draw, pool)] if tally else []
     for _ in range(draw(st.integers(1, 3))):
         body += _suite(draw, pool, 1, False, yields=False)
         body.append(_suspension(draw, pool))
@@ -220,14 +240,16 @@ def straight_line_defs(draw) -> CoroutineDef:
 
 
 @st.composite
-def hinted_prefix_defs(draw) -> CoroutineDef:
+def hinted_prefix_defs(draw, tally: bool = False) -> CoroutineDef:
     """A static first stage, the random body, then a guarded tail-resume.
 
     The resume halves ``x``, which nothing else writes, so it runs at
     most log2(x) times.
     """
-    pool = _Pool()
+    pool = _Pool(tally=tally)
     body = [assign("v0", _expr(draw, pool)), yield_("static")]
+    if tally:
+        body.append(_tally(draw, pool))
     body += _suite(draw, pool, 0, False)
     body.append(if_("x > 1").then_(call("scrambler", "x // 2")))
     return _define(draw, pool, body)

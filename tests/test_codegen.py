@@ -250,7 +250,7 @@ class TestDeterminismAndShape:
         assert sorted(texts) == [("ht", "hybrid"), ("ht", "static"), ("mixer", "hybrid")]
         for key, text in texts.items():
             assert "_b =" not in text and "_state" not in text, key
-            assert "for _i in range(" in text, key
+            assert ") in enumerate(tasks)]" in text, key
 
 
 class TestDynamicUnit:
@@ -477,6 +477,47 @@ def test_unset_read_raises_in_every_shape():
         run_lockstep(run_hybrid, load_unit(emit_hybrid(d, 2))(), 2)
 
 
+def counting_def():
+    """Counts each task's visits in a shared list, between two static yields."""
+    return (
+        coroutine("visits")
+        .result("int", "out")
+        .shared_arg("list", "cnt")
+        .arg("int", "k")
+        .body(
+            yield_("static"),
+            store("cnt[k]", "cnt[k] + 1"),
+            yield_("static"),
+            return_("cnt[k]"),
+        )
+    )
+
+
+@pytest.mark.parametrize("runner, emit", [(run_static_batch, emit_static), (run_hybrid, emit_hybrid)])
+def test_short_group_stores_once_per_task(runner, emit):
+    # 5 tasks at width 4: the final group holds task 4 alone
+    cnt = [0] * 5
+    out = [None] * 5
+    runner(SchedulerConfig(width=4), load_unit(emit(counting_def(), 4))(cnt)(),
+           [(k,) for k in range(5)], out)
+    assert out == [1] * 5
+    assert cnt == [1] * 5
+
+
+# widths that leave the 5 fuzz tasks a short final group
+SHORT_GROUP_WIDTHS = (3, 8)
+
+
+def assert_tallies_match_routine(d, runner, emit):
+    routine = load_unit(emit_routine(d))
+    want_tally = [0] * defgen.TALLY_CELLS
+    want = [routine(x, want_tally) for (x,) in FUZZ_TASKS]
+    for width in SHORT_GROUP_WIDTHS:
+        tally = [0] * defgen.TALLY_CELLS
+        assert run_lockstep(runner, load_unit(emit(d, width))(tally), width) == want, width
+        assert tally == want_tally, width
+
+
 class TestStaticUnit:
     @settings(max_examples=40, deadline=None)
     @given(defgen.straight_line_defs())
@@ -488,13 +529,18 @@ class TestStaticUnit:
             make = load_unit(emit_static(d, width))()
             assert run_lockstep(run_static_batch, make, width) == want, width
 
+    @settings(max_examples=40, deadline=None)
+    @given(defgen.straight_line_defs(tally=True))
+    def test_stores_match_routine_through_short_groups(self, d):
+        assert_tallies_match_routine(d, run_static_batch, emit_static)
+
     def test_results_match_routine(self):
         d = staged_def()
         routine = load_unit(emit_routine(d))
         cls = load_unit(emit_static(d, 4))()
         batch = cls()
         xs = [3, 0, 11, 7]
-        batch.init(xs)
+        batch.init([(x,) for x in xs])
         rounds = 0
         while not batch.super_step():
             rounds += 1
@@ -509,7 +555,7 @@ class TestStaticUnit:
         routine = load_unit(emit_routine(d))
         batch = load_unit(emit_static(d, 2))()()
         for xs in ([1, 2], [30, 40]):
-            batch.init(xs)
+            batch.init([(x,) for x in xs])
             while not batch.super_step():
                 pass
             out = [None, None]
@@ -519,7 +565,7 @@ class TestStaticUnit:
     def test_width_one(self):
         d = staged_def()
         batch = load_unit(emit_static(d, 1))()()
-        batch.init([9])
+        batch.init([(9,)])
         while not batch.super_step():
             pass
         out = [None]
@@ -546,7 +592,7 @@ class TestHybridUnit:
         cls = load_unit(emit_hybrid(d, 4))()
         unit = cls()
         xs = [0, 5, 6, 13]
-        unit.init(xs)
+        unit.init([(x,) for x in xs])
         unit.run_prefix()
         live = set(range(4))
         while live:
@@ -563,7 +609,7 @@ class TestHybridUnit:
         routine = load_unit(emit_routine(d))
         unit = load_unit(emit_hybrid(d, 2))()()
         for xs in ([1, 2], [9, 4]):
-            unit.init(xs)
+            unit.init([(x,) for x in xs])
             unit.run_prefix()
             for i in range(2):
                 while not unit.step_slot(i):
@@ -587,6 +633,11 @@ class TestHybridUnit:
         for width in FUZZ_WIDTHS:
             make = load_unit(emit_hybrid(d, width))()
             assert run_lockstep(run_hybrid, make, width) == want, width
+
+    @settings(max_examples=40, deadline=None)
+    @given(defgen.hinted_prefix_defs(tally=True))
+    def test_stores_match_routine_through_short_groups(self, d):
+        assert_tallies_match_routine(d, run_hybrid, emit_hybrid)
 
     def test_rejects_unhinted_definitions(self):
         with pytest.raises(CodegenError, match="no statically scheduled stage prefix"):

@@ -280,16 +280,22 @@ class TestStaticBatch:
         for stage in (0, 1):
             stage_tasks = [t for s, t in trace if s == stage and t != -1]
             assert sorted(stage_tasks) == list(range(6))
-        # two padding lanes in the short final group, per stage
-        assert sum(1 for _, t in trace if t == -1) == 4
+        # the short final group runs no lane without a task
+        assert all(t != -1 for _, t in trace)
 
-    def test_default_pad_repeats_last_input(self):
+    @pytest.mark.parametrize("pad", [None, (-1,)])
+    def test_short_group_runs_only_its_real_tasks(self, pad):
         trace: list = []
         inputs = [(3,), (9,)]
         outputs = [None, None]
-        run_static_batch(SchedulerConfig(width=4), self.make(4, trace), inputs, outputs)
+        run_static_batch(SchedulerConfig(width=4), self.make(4, trace), inputs, outputs, pad)
         assert outputs == [30, 90]
-        assert sum(1 for _, t in trace if t == 9) == 3 * 2  # real lane + 2 pads, 2 stages
+        assert trace == [(0, 3), (0, 9), (1, 3), (1, 9)]
+
+    def test_longer_outputs_keep_their_length_and_tail(self):
+        outputs = [None] * 3 + ["a", "b"]
+        run_static_batch(SchedulerConfig(width=4), self.make(4, []), [(1,), (2,), (3,)], outputs)
+        assert outputs == [10, 20, 30, "a", "b"]
 
     def test_empty_inputs(self):
         outputs: list = []
@@ -322,6 +328,15 @@ class TestHybrid:
         for stage in (0, 1):
             stage_tasks = [t for s, t in trace if s == stage and t != -1]
             assert sorted(stage_tasks) == list(range(7))
+
+    @pytest.mark.parametrize("pad", [None, (-1,)])
+    def test_short_group_runs_only_its_real_tasks(self, pad):
+        trace: list = []
+        unit = load_unit(emit_hybrid(traced_stage_def(), 4))(trace)()
+        outputs = [None] * 3 + ["a", "b"]
+        run_hybrid(SchedulerConfig(width=4), unit, [(3,), (9,), (4,)], outputs, pad)
+        assert outputs == [30, 90, 40, "a", "b"]
+        assert sorted(trace) == [(0, 3), (0, 4), (0, 9), (1, 3), (1, 4), (1, 9)]
 
     def test_width_mismatch_is_an_error(self):
         unit = load_unit(emit_hybrid(looped_tail_def(), 8))()()
