@@ -57,7 +57,6 @@ from .codegen import (  # noqa: F401
     load_unit,
 )
 from .schedulers import (  # noqa: F401
-    DrainOrder,
     SchedulerConfig,
     interleave_map,
     run_hybrid,

@@ -4,7 +4,10 @@ A bench run always executes the sequential baseline first (its results
 double as the expected values), then each requested scheduling policy,
 and fails loudly if any policy disagrees with the baseline on any
 query.  Rows are deterministic in (kernel, seed, queries, elements):
-the checksum folds every result in query order.
+the checksum folds every result in query order.  The ``simplest`` and
+``push_pull`` rows run the same code: ``interleave_map`` is
+``run_push_pull`` with a consumer that never rejects, and a bench
+consumer has no reason to.
 
 Python cannot overlap cache misses, so the throughput columns here
 measure scheduling overhead, not the memory-level parallelism the
@@ -28,7 +31,6 @@ from .schedulers import (
     SchedulerConfig,
     interleave_map,
     run_hybrid,
-    run_push_pull,
     run_static_batch,
 )
 
@@ -97,10 +99,12 @@ class BenchConfig:
             raise ConfigError(f"queries must be >= 1, got {self.queries}")
         if self.elements is not None and self.elements < 1:
             raise ConfigError("elements must be >= 1")
+        if self.size_bytes is not None and self.size_bytes < 1:
+            raise ConfigError(f"size must be >= 1 byte, got {self.size_bytes}")
         if self.kernel != "all":
             k = KERNELS[self.kernel]
             for p in self.policies:
-                if p in ("static", "hybrid") and not k.static_capable:
+                if not _can_run(k, p):
                     raise ConfigError(
                         f"kernel {self.kernel!r} has data-dependent stage"
                         f" transitions; the {p} policy cannot run it"
@@ -127,6 +131,15 @@ class BenchRow:
 class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
     phases_ns: dict[str, int] = field(default_factory=dict)
+
+
+def _can_run(k: Kernel, policy: str) -> bool:
+    """Whether ``k`` has a definition that ``policy`` can schedule."""
+    if policy == "static":
+        return k.static_capable
+    if policy == "hybrid":
+        return k.build_hybrid_def is not None
+    return True
 
 
 def _element_count(cfg: BenchConfig, k: Kernel) -> int:
@@ -177,36 +190,11 @@ def _policy_runner(
 
         return run
     sched = SchedulerConfig(width=cfg.width)
-    if policy == "simplest":
+    if policy in ("simplest", "push_pull"):
         cls = load_unit(emit_dynamic(_build_def(cfg, k)))(*shared)
 
         def run(queries: list[tuple]) -> list[int]:
             return [result_key(r) for r in interleave_map(sched, cls, queries)]
-
-        return run
-    if policy == "push_pull":
-        cls = load_unit(emit_dynamic(_build_def(cfg, k)))(*shared)
-
-        def run(queries: list[tuple]) -> list[int]:
-            results: list[Any] = [None] * len(queries)
-            slot_task = [0] * cfg.width
-            nxt = 0
-
-            def push(slot: int):
-                nonlocal nxt
-                if nxt >= len(queries):
-                    return None
-                slot_task[slot] = nxt
-                inst = cls(*queries[nxt])
-                nxt += 1
-                return inst
-
-            def pull(slot: int, inst) -> bool:
-                results[slot_task[slot]] = inst.result()
-                return True
-
-            run_push_pull(sched, push, pull)
-            return [result_key(r) for r in results]
 
         return run
     if policy == "static":
@@ -219,7 +207,6 @@ def _policy_runner(
 
         return run
     if policy == "hybrid":
-        assert k.build_hybrid_def is not None
         unit = load_unit(emit_hybrid(k.build_hybrid_def(), cfg.width))(*shared)()
 
         def run(queries: list[tuple]) -> list[int]:
@@ -246,11 +233,7 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         report.phases_ns[f"{name}:build"] = time.perf_counter_ns() - t0
         warmup = queries[: min(1000, len(queries) // 10)]
 
-        policies = ["sequential"] + [
-            p
-            for p in cfg.policies
-            if k.static_capable or p not in ("static", "hybrid")
-        ]
+        policies = ["sequential"] + [p for p in cfg.policies if _can_run(k, p)]
         expected: list[int] | None = None
         for policy in policies:
             runner = _policy_runner(cfg, k, policy, shared)

@@ -779,8 +779,18 @@ _BUILDER_NAMESPACE = {
 
 
 def parse_builder_source(text: str) -> CoroutineDef:
-    """Evaluate printed builder calls back into a CoroutineDef."""
-    cdef = eval(text, {"__builtins__": {}}, dict(_BUILDER_NAMESPACE))
+    """Evaluate printed builder calls back into a CoroutineDef.
+
+    Text that is not builder calls raises DslError: a syntax error
+    names its line:col, and a call to anything but a builder or one of
+    its methods names what was called.
+    """
+    try:
+        cdef = eval(text, {"__builtins__": {}}, dict(_BUILDER_NAMESPACE))
+    except SyntaxError as e:
+        raise DslError(f"builder source {e.lineno}:{e.offset}: {e.msg}") from None
+    except (NameError, AttributeError, TypeError) as e:
+        raise DslError(f"builder source: {e}") from None
     if not isinstance(cdef, CoroutineDef):
         raise DslError("builder source did not produce a coroutine definition")
     return cdef

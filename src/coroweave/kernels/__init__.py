@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..dsl import CoroutineDef
+from ..lowering import split_stages, straight_line_error
 from . import baselines, datasets
 from .baselines import (  # noqa: F401
     binary_search,
@@ -68,7 +69,6 @@ class Kernel:
     """Everything the generic drivers need to run one kernel."""
 
     name: str
-    title: str
     build_def: Callable[..., CoroutineDef]
     build_hybrid_def: Callable[[], CoroutineDef] | None
     baseline: Callable[..., Any]
@@ -77,7 +77,11 @@ class Kernel:
     make_queries: Callable[..., list[tuple]]
     result_key: Callable[[Any], int]
     bytes_per_element: int
-    static_capable: bool
+
+    @property
+    def static_capable(self) -> bool:
+        """Whether the lowering admits ``build_def()`` as straight-line stages."""
+        return straight_line_error(split_stages(self.build_def())) is None
 
 
 def _bs_queries(ds: SortedArray, count: int, seed: int) -> list[tuple]:
@@ -105,7 +109,6 @@ def _ht_queries(ds: HashTable, count: int, seed: int) -> list[tuple]:
 KERNELS: dict[str, Kernel] = {
     "bs": Kernel(
         name="bs",
-        title="sorted-array lower bound",
         build_def=binary_search_def,
         build_hybrid_def=None,
         baseline=baselines.binary_search,
@@ -114,11 +117,9 @@ KERNELS: dict[str, Kernel] = {
         make_queries=_bs_queries,
         result_key=lambda r: r,
         bytes_per_element=8,
-        static_capable=False,
     ),
     "bt": Kernel(
         name="bt",
-        title="binary tree find",
         build_def=bst_find_def,
         build_hybrid_def=None,
         baseline=baselines.bst_find,
@@ -127,11 +128,9 @@ KERNELS: dict[str, Kernel] = {
         make_queries=_bt_queries,
         result_key=_node_key,
         bytes_per_element=24,
-        static_capable=False,
     ),
     "sl": Kernel(
         name="sl",
-        title="skip list find",
         build_def=skiplist_find_def,
         build_hybrid_def=None,
         baseline=baselines.skiplist_find,
@@ -140,11 +139,9 @@ KERNELS: dict[str, Kernel] = {
         make_queries=_sl_queries,
         result_key=_node_key,
         bytes_per_element=40,
-        static_capable=False,
     ),
     "sli": Kernel(
         name="sli",
-        title="skip list advance",
         build_def=skiplist_advance_def,
         build_hybrid_def=None,
         baseline=baselines.skiplist_advance,
@@ -153,11 +150,9 @@ KERNELS: dict[str, Kernel] = {
         make_queries=_sli_queries,
         result_key=lambda r: r,
         bytes_per_element=40,
-        static_capable=False,
     ),
     "ht": Kernel(
         name="ht",
-        title="hash table probe",
         build_def=hashtable_find_def,
         build_hybrid_def=lambda: hashtable_find_def(static_hints=True),
         baseline=baselines.hashtable_find,
@@ -166,6 +161,5 @@ KERNELS: dict[str, Kernel] = {
         make_queries=_ht_queries,
         result_key=lambda r: r,
         bytes_per_element=16,
-        static_capable=True,
     ),
 }

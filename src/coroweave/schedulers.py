@@ -5,7 +5,10 @@ thread.  The number of slots bounds how many loads are outstanding at
 once, so the width should track what the memory subsystem can overlap,
 not how many tasks exist; 48 is a good default on recent server cores.
 
-``run_simplest`` and ``run_push_pull`` drive dynamic (per-task) units,
+``run_push_pull`` holds the one slot loop that steps dynamic (per-task)
+units: it sweeps the live slots in slot order and refills a slot as
+soon as its task completes.  ``run_simplest`` and ``interleave_map``
+are push/pull pairs over it whose consumer always accepts.
 ``run_static_batch`` drives lockstep batch units, and ``run_hybrid``
 drives prefix-lockstep units.  Task identity is the caller's problem:
 the dynamic schedulers hand out slot indexes and instances, never task
@@ -14,14 +17,12 @@ ids, because a slot is reused by many tasks over a run.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from .runtime import BatchCoroutine, StepCoroutine
 
 __all__ = [
-    "DrainOrder",
     "SchedulerConfig",
     "run_simplest",
     "run_push_pull",
@@ -33,23 +34,9 @@ __all__ = [
 DEFAULT_WIDTH = 48
 
 
-class DrainOrder(enum.Enum):
-    """How to retire the tail once no new tasks remain.
-
-    SWEEP keeps round-robin stepping every live slot (the tail finishes
-    out of order, as during the full phase).  SLOT_ORDER runs each
-    remaining slot to completion in slot order, which gives a stable
-    completion order at the cost of interleaving.
-    """
-
-    SWEEP = "sweep"
-    SLOT_ORDER = "slot_order"
-
-
 @dataclass(frozen=True, slots=True)
 class SchedulerConfig:
     width: int = DEFAULT_WIDTH
-    drain: DrainOrder = DrainOrder.SWEEP
 
     def __post_init__(self) -> None:
         if self.width < 1:
@@ -66,51 +53,24 @@ def run_simplest(
 
     ``refill(slot, task_index)`` constructs the coroutine instance for
     the next task; ``on_complete(slot, instance)`` (if given) observes
-    each finished instance before its slot is reused.  Returns the
-    number of completed tasks.
+    each finished instance before its slot is reused.  This is
+    ``run_push_pull`` with ``refill`` as the producer and a consumer
+    that always accepts, so the tail drains by the same sweep.
+    Returns the number of completed tasks.
     """
-    if task_count <= 0:
-        return 0
-    fill = min(config.width, task_count)
-    slots: list[StepCoroutine | None] = [refill(i, i) for i in range(fill)]
-    next_task = fill
-    done = 0
-    while next_task < task_count:
-        for i, inst in enumerate(slots):
-            if inst is None:
-                continue
-            if inst.step():
-                done += 1
-                if on_complete is not None:
-                    on_complete(i, inst)
-                if next_task < task_count:
-                    slots[i] = refill(i, next_task)
-                    next_task += 1
-                else:
-                    slots[i] = None
-    if config.drain is DrainOrder.SLOT_ORDER:
-        for i, inst in enumerate(slots):
-            if inst is None:
-                continue
-            while not inst.step():
-                pass
-            done += 1
-            if on_complete is not None:
-                on_complete(i, inst)
-            slots[i] = None
-    else:
-        live = sum(1 for s in slots if s is not None)
-        while live:
-            for i, inst in enumerate(slots):
-                if inst is None:
-                    continue
-                if inst.step():
-                    done += 1
-                    if on_complete is not None:
-                        on_complete(i, inst)
-                    slots[i] = None
-                    live -= 1
-    return done
+    pending = iter(range(task_count))
+
+    def push(slot: int) -> StepCoroutine | None:
+        for t in pending:  # takes at most one task
+            return refill(slot, t)
+        return None
+
+    def pull(slot: int, inst: StepCoroutine) -> bool:
+        if on_complete is not None:
+            on_complete(slot, inst)
+        return True
+
+    return run_push_pull(config, push, pull)
 
 
 def run_push_pull(
@@ -124,16 +84,21 @@ def run_push_pull(
     producer is exhausted; ``pull(slot, instance)`` consumes a finished
     task and may return False to reject it, in which case the instance
     is reset and recomputed for a later offer (the producer must
-    eventually accept, or this never returns).  A slot whose ``push``
-    returns None leaves the sweep for good.  Returns the number of
-    accepted tasks.
+    eventually accept, or this never returns).  The first None ends
+    the initial fill, so fewer tasks than slots cost no idle slots, and
+    a slot whose ``push`` returns None leaves the sweep for good.
+    Returns the number of accepted tasks.
     """
-    first = [push(i) for i in range(config.width)]
-    ids = [i for i, inst in enumerate(first) if inst is not None]
-    insts: list[StepCoroutine | None] = [first[i] for i in ids]
+    insts: list[StepCoroutine | None] = []
+    for i in range(config.width):
+        inst = push(i)
+        if inst is None:
+            break
+        insts.append(inst)
+    ids = list(range(len(insts)))
     accepted = 0
     while insts:
-        dead = False
+        gone = []
         for j, inst in enumerate(insts):
             if inst.step():
                 i = ids[j]
@@ -141,12 +106,11 @@ def run_push_pull(
                     accepted += 1
                     insts[j] = push(i)
                     if insts[j] is None:
-                        dead = True
+                        gone.append(j)
                 else:
                     inst.reset()
-        if dead:
-            ids = [i for i, inst in zip(ids, insts) if inst is not None]
-            insts = [inst for inst in insts if inst is not None]
+        for j in reversed(gone):
+            del insts[j], ids[j]
     return accepted
 
 
@@ -219,17 +183,24 @@ def interleave_map(
 ) -> list:
     """Map ``factory(*task)`` over ``tasks`` with interleaved stepping.
 
-    Results come back in task order regardless of completion order.
+    A push/pull pair over ``run_push_pull`` whose consumer always
+    accepts; it skips ``run_simplest``, whose adapter would add two
+    calls per task.  Results come back in task order regardless of
+    completion order.
     """
     results: list[Any] = [None] * len(tasks)
-    slot_task = [0] * min(config.width, len(tasks) or 1)
+    slot_task = [0] * config.width
+    pending = enumerate(tasks)
 
-    def refill(slot: int, task_index: int) -> StepCoroutine:
-        slot_task[slot] = task_index
-        return factory(*tasks[task_index])
+    def push(slot: int) -> StepCoroutine | None:
+        for t, args in pending:  # takes at most one task
+            slot_task[slot] = t
+            return factory(*args)
+        return None
 
-    def on_complete(slot: int, inst: StepCoroutine) -> None:
+    def pull(slot: int, inst: StepCoroutine) -> bool:
         results[slot_task[slot]] = inst.result()
+        return True
 
-    run_simplest(config, len(tasks), refill, on_complete)
+    run_push_pull(config, push, pull)
     return results

@@ -43,7 +43,13 @@ class TestBenchConfig:
 
     @pytest.mark.parametrize(
         "bad",
-        [dict(width=0), dict(queries=0), dict(elements=0)],
+        [
+            dict(width=0),
+            dict(queries=0),
+            dict(elements=0),
+            dict(size_bytes=0),
+            dict(size_bytes=-5),
+        ],
     )
     def test_counts_must_be_positive(self, bad):
         with pytest.raises(ConfigError):
@@ -258,6 +264,20 @@ class TestCli:
         rc = main(["gen", "--def", "/no/such/file.py"])
         assert rc == 2
         assert "coroweave:" in capsys.readouterr().err
+
+    def test_gen_refuses_text_that_is_not_builder_calls(self, tmp_path, capsys):
+        for name, text, want in [
+            ("syntax.py", "foo(\n", "coroweave: builder source 1:4: "),
+            ("name.py", "nosuch()\n", "coroweave: builder source: name 'nosuch'"),
+            ("method.py", "coroutine('f').nosuch()\n", "coroweave: builder source: "),
+            ("arity.py", "coroutine()\n", "coroweave: builder source: "),
+        ]:
+            src = tmp_path / name
+            src.write_text(text)
+            rc = main(["gen", "--def", str(src)])
+            err = capsys.readouterr().err.splitlines()
+            assert rc == 2, name
+            assert len(err) == 1 and err[0].startswith(want), err
 
     def test_gen_reports_diagnostics(self, tmp_path, capsys):
         src = tmp_path / "broken.py"

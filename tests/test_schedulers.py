@@ -1,6 +1,7 @@
 """Scheduler semantics: exactly-once, ordering, backpressure, batching."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 import defgen
 
 from coroweave import (
-    DrainOrder,
     SchedulerConfig,
     emit_dynamic,
     emit_hybrid,
@@ -101,21 +101,15 @@ class TestConfig:
     def test_defaults(self):
         cfg = SchedulerConfig()
         assert cfg.width == DEFAULT_WIDTH == 48
-        assert cfg.drain is DrainOrder.SWEEP
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError, match="width must be >= 1"):
             SchedulerConfig(width=0)
 
-    def test_drain_order_values(self):
-        assert DrainOrder("sweep") is DrainOrder.SWEEP
-        assert DrainOrder("slot_order") is DrainOrder.SLOT_ORDER
-
 
 class TestRunSimplest:
     @pytest.mark.parametrize("width", [1, 2, 5])
-    @pytest.mark.parametrize("drain", list(DrainOrder))
-    def test_exactly_once(self, width, drain):
+    def test_exactly_once(self, width):
         for count in (0, 1, width - 1, width, width + 1, 10 * width):
             if count < 0:
                 continue
@@ -130,7 +124,7 @@ class TestRunSimplest:
                 completed.append(inst.tid)
 
             done = run_simplest(
-                SchedulerConfig(width=width, drain=drain),
+                SchedulerConfig(width=width),
                 count,
                 refill,
                 on_complete,
@@ -153,16 +147,6 @@ class TestRunSimplest:
             lambda slot, t: Task(t, steps[t], finish_log),
         )
         assert finish_log == [1, 2, 0]
-
-    def test_slot_order_drain_is_stable(self):
-        finish_log: list[int] = []
-        steps = {0: 5, 1: 0, 2: 2}
-        run_simplest(
-            SchedulerConfig(width=3, drain=DrainOrder.SLOT_ORDER),
-            3,
-            lambda slot, t: Task(t, steps[t], finish_log),
-        )
-        assert finish_log == [0, 1, 2]
 
     def test_slots_refill_immediately(self):
         # slot of a finished task is reused before the sweep moves on
@@ -213,6 +197,17 @@ class TestRunPushPull:
     def test_empty_producer(self):
         assert run_push_pull(SchedulerConfig(width=4), lambda s: None, lambda s, i: True) == 0
 
+    def test_fill_stops_when_the_producer_runs_dry(self):
+        calls = []
+        pending = [Task(0, 1), Task(1, 0)]
+
+        def push(slot):
+            calls.append(slot)
+            return pending.pop(0) if pending else None
+
+        assert run_push_pull(SchedulerConfig(width=5), push, lambda s, i: True) == 2
+        assert calls == [0, 1, 2, 1, 0]
+
     def test_reject_recomputes_from_pristine_args(self):
         # generated units must survive the reset/retry path even though
         # their body consumed the arg values (walrus countdown)
@@ -257,6 +252,54 @@ class TestRunPushPull:
         assert n == 9
         assert got == {tid: routine(tid) for tid in range(9)}
         assert rejected == {0, 3, 6}
+
+
+class TestStepOrder:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.lists(st.integers(0, 4), max_size=20))
+    def test_dynamic_schedulers_step_tasks_alike(self, width, yields):
+        # run_simplest, interleave_map and an always-accepting
+        # run_push_pull must step the same task ids in the same order
+        cfg = SchedulerConfig(width=width)
+        n = len(yields)
+
+        def stepped(run):
+            log: list[int] = []
+
+            def make(tid):
+                task = Task(tid, yields[tid])
+                step = task.step
+
+                def logged():
+                    log.append(tid)
+                    return step()
+
+                task.step = logged
+                return task
+
+            run(make)
+            return log
+
+        def simplest(make):
+            assert run_simplest(cfg, n, lambda slot, t: make(t)) == n
+
+        def mapped(make):
+            assert interleave_map(cfg, make, [(t,) for t in range(n)]) == [
+                t * 10 for t in range(n)
+            ]
+
+        def push_pull(make):
+            pending = list(range(n - 1, -1, -1))
+
+            def push(slot):
+                return make(pending.pop()) if pending else None
+
+            assert run_push_pull(cfg, push, lambda slot, inst: True) == n
+
+        want = stepped(simplest)
+        assert Counter(want) == Counter({t: y + 1 for t, y in enumerate(yields)})
+        assert stepped(mapped) == want
+        assert stepped(push_pull) == want
 
 
 class TestStaticBatch:
@@ -391,24 +434,23 @@ class TestDynamicSchedulersOnRandomDefs:
     def test_simplest_delivers_each_task_once(self, d, width):
         want = [load_unit(emit_routine(d))(x) for x in RANDOM_XS]
         make = load_unit(emit_dynamic(d))()
-        for drain in DrainOrder:
-            slot_task: dict[int, int] = {}
-            built: list[int] = []
-            got: list[tuple[int, object]] = []
+        slot_task: dict[int, int] = {}
+        built: list[int] = []
+        got: list[tuple[int, object]] = []
 
-            def refill(slot, task_index):
-                slot_task[slot] = task_index
-                built.append(task_index)
-                return make(RANDOM_XS[task_index])
+        def refill(slot, task_index):
+            slot_task[slot] = task_index
+            built.append(task_index)
+            return make(RANDOM_XS[task_index])
 
-            def on_complete(slot, inst):
-                got.append((slot_task[slot], inst.result()))
+        def on_complete(slot, inst):
+            got.append((slot_task[slot], inst.result()))
 
-            cfg = SchedulerConfig(width=width, drain=drain)
-            assert run_simplest(cfg, len(RANDOM_XS), refill, on_complete) == len(RANDOM_XS)
-            assert built == list(range(len(RANDOM_XS)))
-            assert sorted(t for t, _ in got) == list(range(len(RANDOM_XS))), drain
-            assert dict(got) == dict(enumerate(want)), drain
+        cfg = SchedulerConfig(width=width)
+        assert run_simplest(cfg, len(RANDOM_XS), refill, on_complete) == len(RANDOM_XS)
+        assert built == list(range(len(RANDOM_XS)))
+        assert sorted(t for t, _ in got) == list(range(len(RANDOM_XS)))
+        assert dict(got) == dict(enumerate(want))
 
     @settings(max_examples=30, deadline=None)
     @given(defgen.coroutine_defs(), st.integers(1, 6), st.integers(0, 2**32 - 1))
