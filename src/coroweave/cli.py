@@ -22,7 +22,7 @@ from .bench import (
 )
 from .codegen import CodegenError, emit_dynamic, emit_hybrid, emit_routine, emit_static
 from .kernels import KERNELS
-from .lowering import LoweringError, fsm_dump, split_stages
+from .lowering import LoweringError, analyse, fsm_dump, split_stages
 
 __all__ = ["main"]
 
@@ -158,7 +158,7 @@ def _cmd_gen(args) -> int:
     except (OSError, dsl.DslError) as e:
         print(f"coroweave: {e}", file=sys.stderr)
         return 2
-    diags = dsl.validate(cdef)
+    diags = analyse(cdef).diagnostics
     if diags:
         for d in diags:
             print(d, file=sys.stderr)

@@ -17,8 +17,8 @@ Four emitters, in two families:
 All four print the definition's structured control flow through one
 statement emitter.  The dynamic, static and hybrid units run it as a
 Python generator: one per task, or one per lane, advanced in lockstep
-or one lane at a time.  The lowered state machine (``split_stages``)
-only decides which definitions the static and hybrid emitters accept.
+or one lane at a time.  Every emitter reads the definition's analysis
+record (``lowering.analyse``), which is computed once per object.
 
 Every emitter returns a :class:`SourceText` whose ``entry`` names a
 zero-or-more-argument factory; calling the factory with the shared-arg
@@ -36,12 +36,7 @@ from typing import Any
 
 from . import __version__, dsl
 from .dsl import CoroutineDef, DeclKind
-from .lowering import (
-    split_stages,
-    static_prefix_len,
-    straight_line_error,
-    strip_yields,
-)
+from .lowering import analyse, split_stages, strip_yields
 
 __all__ = [
     "CodegenError",
@@ -100,13 +95,14 @@ class _W:
         for line in textwrap.dedent(text).strip("\n").splitlines():
             self.put(line)
 
-    @contextlib.contextmanager
-    def indent(self):
+    def indent(self) -> _W:
+        return self
+
+    def __enter__(self) -> None:
         self.depth += 1
-        try:
-            yield
-        finally:
-            self.depth -= 1
+
+    def __exit__(self, *exc) -> None:
+        self.depth -= 1
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -278,11 +274,10 @@ def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
     """
     if width < 1:
         raise CodegenError(f"{cdef.name}: width must be >= 1, got {width}")
-    fsm = split_stages(cdef)
-    err = straight_line_error(fsm)
+    nstages = len(split_stages(cdef).state_entry)
+    err = analyse(cdef).straight_line_error
     if err is not None:
         raise CodegenError(f"{cdef.name}: {err}")
-    nstages = len(fsm.state_entry)
     return _emit_lanes(
         cdef, width, f"make_{cdef.name}_{width}", f"CoroutineState_{cdef.name}_{width}",
         f"lockstep lanes, {nstages} stage(s) per batch.",
@@ -312,7 +307,8 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
     """
     if width < 1:
         raise CodegenError(f"{cdef.name}: width must be >= 1, got {width}")
-    prefix = static_prefix_len(split_stages(cdef))
+    split_stages(cdef)
+    prefix = analyse(cdef).static_prefix_len
     if prefix < 1:
         raise CodegenError(
             f"{cdef.name}: no statically scheduled stage prefix; hint the"
@@ -340,11 +336,9 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
 
 
 def _check_valid(cdef: CoroutineDef) -> None:
-    diags = dsl.validate(cdef)
+    diags = analyse(cdef).diagnostics
     if diags:
-        raise CodegenError(
-            f"{cdef.name} does not validate: " + "; ".join(str(d) for d in diags)
-        )
+        raise CodegenError(f"{cdef.name} does not validate: " + "; ".join(map(str, diags)))
 
 
 def emit_routine(cdef: CoroutineDef) -> SourceText:
@@ -361,42 +355,37 @@ def emit_routine(cdef: CoroutineDef) -> SourceText:
     return SourceText(cdef.name, _header(cdef.name), w.text())
 
 
-def _sub_blocks(s) -> list[dsl.Block]:
-    match s:
-        case dsl.Block():
-            return [s]
-        case dsl.If(then=then, orelse=orelse):
-            return [then] if orelse is None else [then, orelse]
-        case dsl.Switch(cases=cases, default=default):
-            return [b for _, b in cases] + ([] if default is None else [default])
-        case dsl.While(body=body) | dsl.DoWhile(body=body):
-            return [body]
-    return []
+_CALL, _BREAK, _CONTINUE = 1, 2, 4
+_LEAVES = {dsl.Call: _CALL, dsl.Break: _BREAK, dsl.Continue: _CONTINUE}
+_PASSES = {dsl.While: _CALL, dsl.DoWhile: _CALL, dsl.Switch: _CALL | _CONTINUE}
 
 
-def _binds(blk: dsl.Block, kind: type, scope: tuple[type, ...]) -> bool:
-    """Whether a ``kind`` statement in ``blk`` reaches the construct around it.
+def _escapes(blk: dsl.Block, out: dict[int, int]) -> int:
+    """Which of call, break and continue in ``blk`` reach the construct around it.
 
-    The scan does not enter nested ``scope`` constructs, which would
-    bind such a statement first.
+    A loop binds break and continue, a switch binds break.  ``out`` gets
+    the same answer for each compound statement's blocks, by its ``id``.
     """
-    return any(
-        isinstance(s, kind)
-        or (not isinstance(s, scope) and any(_binds(b, kind, scope) for b in _sub_blocks(s)))
-        for s in blk.stmts
-    )
-
-
-def _has_call(blk: dsl.Block) -> bool:
-    return _binds(blk, dsl.Call, ())
-
-
-def _binds_continue(blk: dsl.Block) -> bool:
-    return _binds(blk, dsl.Continue, (dsl.While, dsl.DoWhile))
-
-
-def _binds_break(blk: dsl.Block) -> bool:
-    return _binds(blk, dsl.Break, (dsl.While, dsl.DoWhile, dsl.Switch))
+    flags = 0
+    for s in blk.stmts:
+        match s:
+            case dsl.Block():
+                blocks = [s]
+            case dsl.If(then=then, orelse=orelse):
+                blocks = [then] if orelse is None else [then, orelse]
+            case dsl.Switch(cases=cases, default=default):
+                blocks = [b for _, b in cases] + ([] if default is None else [default])
+            case dsl.While(body=body) | dsl.DoWhile(body=body):
+                blocks = [body]
+            case _:
+                flags |= _LEAVES.get(type(s), 0)
+                continue
+        inner = 0
+        for b in blocks:
+            inner |= _escapes(b, out)
+        out[id(s)] = inner
+        flags |= inner & _PASSES.get(type(s), -1)
+    return flags
 
 
 class _RoutineEmitter:
@@ -423,6 +412,7 @@ class _RoutineEmitter:
         self.counter = 0
         self.loops = 0
         self.yields = 0
+        self.facts: dict[int, int] = {}
 
     def fresh(self) -> int:
         self.counter += 1
@@ -430,7 +420,7 @@ class _RoutineEmitter:
 
     def body(self, blk: dsl.Block) -> None:
         w = self.w
-        if not _has_call(blk):
+        if not _escapes(blk, self.facts) & _CALL:
             self.var_inits()
             self.suite(blk, None, None)
             return
@@ -531,10 +521,10 @@ class _RoutineEmitter:
                     with w.indent():
                         self.suite(orelse, brk, cont)
             case dsl.While(cond=cond, body=body):
-                with self.loop(f"while {cond}:", _has_call(body)):
+                with self.loop(f"while {cond}:", self.facts[id(s)] & _CALL):
                     self.suite(body, ["break"], ["continue"])
             case dsl.DoWhile(body=body, cond=cond):
-                self.do_while(body, cond)
+                self.do_while(body, cond, self.facts[id(s)])
             case dsl.Switch():
                 self.switch(s, brk, cont)
             case dsl.Call(args=args):
@@ -542,10 +532,10 @@ class _RoutineEmitter:
             case _:
                 raise CodegenError(f"cannot emit {type(s).__name__} in a routine")
 
-    def do_while(self, body: dsl.Block, cond: str) -> None:
+    def do_while(self, body: dsl.Block, cond: str, flags: int) -> None:
         w = self.w
-        calls = _has_call(body)
-        if not _binds_continue(body):
+        calls = flags & _CALL
+        if not flags & _CONTINUE:
             with self.loop("while True:", calls):
                 self.suite(body, ["break"], None)
                 w.put(f"if not ({cond}):")
@@ -556,7 +546,7 @@ class _RoutineEmitter:
         # while-True continue would skip; route it through a one-shot
         # inner loop.
         n = self.fresh()
-        has_break = _binds_break(body)
+        has_break = flags & _BREAK
         if has_break:
             w.put(f"_brk{n} = False")
         with self.loop("while True:", calls):
@@ -576,19 +566,19 @@ class _RoutineEmitter:
         n = self.fresh()
         tmp = f"_sw{n}"
         w.put(f"{tmp} = {s.scrutinee}")
-        arms = _sub_blocks(s)
-        if not any(map(_binds_break, arms)):
+        flags = self.facts[id(s)]
+        if not flags & _BREAK:
             self.switch_chain(tmp, s, brk=None, cont=cont)
             return
         # An early break out of an arm needs something to break from;
         # an outer continue inside the wrapper must first escape it.
         cont_inner = cont
         cont_flag = None
-        if cont is not None and any(map(_binds_continue, arms)):
+        if cont is not None and flags & _CONTINUE:
             cont_flag = f"_cont{n}"
             w.put(f"{cont_flag} = False")
             cont_inner = [f"{cont_flag} = True", "break"]
-        with self.loop(f"for _once{n} in (0,):", any(map(_has_call, arms))):
+        with self.loop(f"for _once{n} in (0,):", flags & _CALL):
             self.switch_chain(tmp, s, brk=["break"], cont=cont_inner)
         if cont_flag is not None:
             w.put(f"if {cont_flag}:")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import keyword
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "DslError",
@@ -305,6 +305,8 @@ class CoroutineDef:
     name: str
     decls: tuple[Decl, ...]
     body: Block
+    # lowering.analyse's record for this very object; never compared
+    _analysis: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def args(self) -> tuple[Decl, ...]:

@@ -8,7 +8,8 @@ no code.  A block list plus a state->entry-block table is enough for a
 native code generator to produce a portable dispatch loop.  The Python
 emitters print generators instead; here the stage graph decides which
 schedules a definition qualifies for (``straight_line_error``,
-``static_prefix_len``) and is what ``fsm_dump`` prints.
+``static_prefix_len``) and is what ``fsm_dump`` prints.  ``analyse``
+does all of this once per definition object and keeps the record on it.
 
 ``strip_yields`` produces the sequential twin of a definition (all
 suspension points and prefetches removed); it is the baseline that
@@ -20,15 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dsl
-from .dsl import CoroutineDef, Decl, DeclKind, YieldHint
+from .dsl import CoroutineDef, Decl, DeclKind, Diagnostic, YieldHint
 
 __all__ = [
     "LoweringError",
+    "Analysis",
     "CfgBlock",
     "Stage",
     "Fsm",
     "ContextSpec",
     "INTERNAL_FIELDS",
+    "analyse",
     "split_stages",
     "compute_context",
     "strip_yields",
@@ -84,6 +87,16 @@ class Fsm:
     @property
     def suspension_count(self) -> int:
         return len(self.state_entry) - 1
+
+
+@dataclass(frozen=True, slots=True)
+class Analysis:
+    """A definition's diagnostics; the other fields are None unless it has none."""
+
+    diagnostics: tuple[Diagnostic, ...]
+    fsm: Fsm | None
+    straight_line_error: str | None
+    static_prefix_len: int | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -382,18 +395,26 @@ def _build_stages(blocks, state_entry, finished_id) -> tuple[Stage, ...]:
     return tuple(stages)
 
 
+def analyse(cdef: CoroutineDef) -> Analysis:
+    """Validate and lower ``cdef`` on first use; the record stays on the object."""
+    if cdef._analysis is None:
+        diags = tuple(dsl.validate(cdef))
+        fsm = None if diags else _Lowerer(cdef).run()
+        rec = Analysis(diags, fsm, fsm and straight_line_error(fsm), fsm and static_prefix_len(fsm))
+        object.__setattr__(cdef, "_analysis", rec)
+    return cdef._analysis
+
+
 def split_stages(cdef: CoroutineDef) -> Fsm:
     """Lower a validated definition to its finite state machine.
 
     Raises LoweringError if the definition has validation diagnostics.
     Unreachable statements are dropped and reported in ``warnings``.
     """
-    diags = dsl.validate(cdef)
-    if diags:
-        raise LoweringError(
-            "definition does not validate: " + "; ".join(str(d) for d in diags)
-        )
-    return _Lowerer(cdef).run()
+    rec = analyse(cdef)
+    if rec.diagnostics:
+        raise LoweringError("definition does not validate: " + "; ".join(map(str, rec.diagnostics)))
+    return rec.fsm
 
 
 def compute_context(cdef: CoroutineDef, fsm: Fsm) -> ContextSpec:

@@ -84,10 +84,10 @@ def run_push_pull(
     producer is exhausted; ``pull(slot, instance)`` consumes a finished
     task and may return False to reject it, in which case the instance
     is reset and recomputed for a later offer (the producer must
-    eventually accept, or this never returns).  The first None ends
-    the initial fill, so fewer tasks than slots cost no idle slots, and
-    a slot whose ``push`` returns None leaves the sweep for good.
-    Returns the number of accepted tasks.
+    eventually accept, or this never returns).  After the first None
+    ``push`` is not called again, so fewer tasks than slots cost no idle
+    slots, and each slot leaves the sweep once its last task is
+    accepted.  Returns the number of accepted tasks.
     """
     insts: list[StepCoroutine | None] = []
     for i in range(config.width):
@@ -95,6 +95,7 @@ def run_push_pull(
         if inst is None:
             break
         insts.append(inst)
+    more = len(insts) == config.width
     ids = list(range(len(insts)))
     accepted = 0
     while insts:
@@ -104,8 +105,9 @@ def run_push_pull(
                 i = ids[j]
                 if pull(i, inst):
                     accepted += 1
-                    insts[j] = push(i)
-                    if insts[j] is None:
+                    insts[j] = inst = push(i) if more else None
+                    if inst is None:
+                        more = False
                         gone.append(j)
                 else:
                     inst.reset()

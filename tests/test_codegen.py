@@ -4,23 +4,30 @@ The sequential routine is the ground truth; every other unit kind must
 agree with it on results, whatever the interleaving machinery does.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 
 import defgen
 from coroweave import (
     CodegenError,
+    LoweringError,
     SchedulerConfig,
     emit_dynamic,
     emit_hybrid,
     emit_routine,
     emit_static,
+    fsm_dump,
     load_unit,
+    parse_builder_source,
     run_hybrid,
     run_static_batch,
     split_stages,
     straight_line_error,
+    to_builder_source,
 )
+from coroweave import dsl, lowering
 from coroweave.dsl import (
     assign,
     break_,
@@ -39,7 +46,7 @@ from coroweave.dsl import (
     yield_,
 )
 from coroweave.kernels import KERNELS
-from coroweave.kernels.defs import hashtable_find_def
+from coroweave.kernels.defs import binary_search_def, hashtable_find_def
 
 
 def staged_def():
@@ -646,3 +653,108 @@ class TestHybridUnit:
     def test_rejects_bad_width(self):
         with pytest.raises(CodegenError, match="width must be >= 1"):
             emit_hybrid(hybrid_tail_def(), -2)
+
+
+# -- the analysis record: one per definition object, never shared by structure
+
+
+SHAPES = [("routine", emit_routine, ()), ("dynamic", emit_dynamic, ())] + [
+    (f"{emit.__name__[5:]}{w}", emit, (w,))
+    for emit in (emit_static, emit_hybrid)
+    for w in (1, 5, 16)
+] + [("fsm", lambda d: fsm_dump(split_stages(d)), ())]
+
+
+def emission(d, shape):
+    """One shape's text, or its refusal's type and message."""
+    _, emit, args = shape
+    try:
+        out = emit(d, *args)
+    except (CodegenError, LoweringError) as e:
+        return f"{type(e).__name__}: {e}"
+    return out if isinstance(out, str) else out.text
+
+
+def fresh(d):
+    return parse_builder_source(to_builder_source(d))
+
+
+class TestAnalysisRecord:
+    @pytest.mark.parametrize("pair", [("ht-hinted", "gnarly"), ("mixer", "bt")])
+    def test_two_definitions_alternately(self, pair):
+        a, b = (build(n) for n in pair)
+        want = {n: [emission(fresh(d), s) for s in SHAPES] for n, d in zip(pair, (a, b))}
+        for _round in range(2):
+            for k, shape in enumerate(SHAPES):
+                assert emission(a, shape) == want[pair[0]][k], shape[0]
+                assert emission(b, shape) == want[pair[1]][k], shape[0]
+
+    def test_equal_but_distinct_copy(self):
+        d = build("mixer")
+        copy = fresh(d)
+        assert copy == d and copy is not d
+        want = [emission(fresh(d), s) for s in SHAPES]
+        for k, shape in enumerate(SHAPES):
+            assert emission(d, shape) == want[k], shape[0]
+            assert emission(copy, shape) == want[k], shape[0]
+
+    def test_invalid_definition_refuses_alike_every_time(self):
+        d = coroutine("bad").result("int", "r").body(break_(), yield_("static"), return_("1"))
+        want = [emission(fresh(d), s) for s in SHAPES]
+        assert all(w.startswith(("CodegenError", "LoweringError")) for w in want)
+        for _round in range(3):
+            assert [emission(d, s) for s in SHAPES] == want
+            with pytest.raises(LoweringError, match="^definition does not validate: R1"):
+                split_stages(d)
+            with pytest.raises(CodegenError, match="^bad does not validate: R1"):
+                emit_routine(d)
+
+    def test_one_validation_and_one_lowering_per_definition(self, monkeypatch):
+        counts = {"validate": 0, "lower": 0}
+        validate, lower = dsl.validate, lowering._Lowerer.run
+
+        def counted(name, fn):
+            def call(*args):
+                counts[name] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(dsl, "validate", counted("validate", validate))
+        monkeypatch.setattr(lowering._Lowerer, "run", counted("lower", lower))
+        d = hashtable_find_def(static_hints=True)
+        split_stages(d)
+        emit_routine(d)
+        emit_dynamic(d)
+        for w in (1, 5, 16):
+            emit_static(d, w)
+            emit_hybrid(d, w)
+        assert counts == {"validate": 1, "lower": 1}
+
+
+# SHA-256 over every shape of the kernel definitions and the helper
+# definitions in this file.  A change that alters generated text (the
+# banner's version included) updates it and says so in CHANGES.md.
+EMIT_DIGEST = "a5062af3da593873ab0ff92bda27b32e37e2de7d78d615a17cc06264ff1c4377"
+
+DIGEST_DEFS = {
+    **{k: KERNELS[k].build_def for k in sorted(KERNELS)},
+    "bs-ternary": lambda: binary_search_def("ternary"),
+    "ht-hinted": lambda: hashtable_find_def(static_hints=True),
+    "pipeline": staged_def,
+    "mixer": hybrid_tail_def,
+    "gnarly": gnarly_def,
+    "countdown": countdown_def,
+    "drain": nested_countdown_def,
+    "relay": relay_def,
+    "unset": unset_read_def,
+    "visits": counting_def,
+}
+
+
+def test_generated_text_is_pinned():
+    h = hashlib.sha256()
+    for name, make in DIGEST_DEFS.items():
+        d = make()
+        for shape in SHAPES:
+            h.update(f"{name}/{shape[0]}\n{emission(d, shape)}\n".encode())
+    assert h.hexdigest() == EMIT_DIGEST

@@ -206,7 +206,28 @@ class TestRunPushPull:
             return pending.pop(0) if pending else None
 
         assert run_push_pull(SchedulerConfig(width=5), push, lambda s, i: True) == 2
-        assert calls == [0, 1, 2, 1, 0]
+        assert calls == [0, 1, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 20), st.integers(0, 2**32 - 1))
+    def test_push_is_not_called_after_it_returned_none(self, width, tasks, seed):
+        rng = random.Random(seed)
+        pending = list(range(tasks))
+        rejects = {t for t in pending if rng.random() < 0.3}
+        pushes = []
+
+        def push(slot):
+            pushes.append(slot)
+            return Task(pending.pop(0), rng.randrange(4)) if pending else None
+
+        def pull(slot, inst):
+            if inst.tid in rejects:
+                rejects.discard(inst.tid)
+                return False
+            return True
+
+        assert run_push_pull(SchedulerConfig(width=width), push, pull) == tasks
+        assert len(pushes) == tasks + 1
 
     def test_reject_recomputes_from_pristine_args(self):
         # generated units must survive the reset/retry path even though
