@@ -58,6 +58,7 @@ from .codegen import (  # noqa: F401
 )
 from .schedulers import (  # noqa: F401
     SchedulerConfig,
+    TaskError,
     interleave_map,
     run_hybrid,
     run_push_pull,

@@ -4,10 +4,10 @@ A bench run always executes the sequential baseline first (its results
 double as the expected values), then each requested scheduling policy,
 and fails loudly if any policy disagrees with the baseline on any
 query.  Rows are deterministic in (kernel, seed, queries, elements):
-the checksum folds every result in query order.  The ``simplest`` and
-``push_pull`` rows run the same code: ``interleave_map`` is
-``run_push_pull`` with a consumer that never rejects, and a bench
-consumer has no reason to.
+the checksum folds every result in query order.  The ``simplest`` row
+runs ``interleave_map``, which steps the unit's lane generators
+directly; the ``push_pull`` row steps instances through
+``run_push_pull``, with a consumer that accepts every result.
 
 Python cannot overlap cache misses, so the throughput columns here
 measure scheduling overhead, not the memory-level parallelism the
@@ -31,6 +31,7 @@ from .schedulers import (
     SchedulerConfig,
     interleave_map,
     run_hybrid,
+    run_push_pull,
     run_static_batch,
 )
 
@@ -192,9 +193,10 @@ def _policy_runner(
     sched = SchedulerConfig(width=cfg.width)
     if policy in ("simplest", "push_pull"):
         cls = load_unit(emit_dynamic(_build_def(cfg, k)))(*shared)
+        mapper = interleave_map if policy == "simplest" else _push_pull_map
 
         def run(queries: list[tuple]) -> list[int]:
-            return [result_key(r) for r in interleave_map(sched, cls, queries)]
+            return [result_key(r) for r in mapper(sched, cls, queries)]
 
         return run
     if policy == "static":
@@ -216,6 +218,25 @@ def _policy_runner(
 
         return run
     raise ConfigError(f"unknown policy {policy!r}")
+
+
+def _push_pull_map(sched: SchedulerConfig, cls: Any, queries: list[tuple]) -> list:
+    """``run_push_pull`` over ``cls`` instances, accepting every result."""
+    out: list[Any] = [None] * len(queries)
+    slot_task = [0] * sched.width
+    pending = enumerate(queries)
+
+    def push(slot: int) -> Any:
+        for slot_task[slot], q in pending:  # takes at most one task
+            return cls(*q)
+        return None
+
+    def pull(slot: int, inst: Any) -> bool:
+        out[slot_task[slot]] = inst.result()
+        return True
+
+    run_push_pull(sched, push, pull)
+    return out
 
 
 def run_bench(cfg: BenchConfig) -> BenchReport:

@@ -15,10 +15,13 @@ Four emitters, in two families:
   dynamically.
 
 All four print the definition's structured control flow through one
-statement emitter.  The dynamic, static and hybrid units run it as a
-Python generator: one per task, or one per lane, advanced in lockstep
-or one lane at a time.  Every emitter reads the definition's analysis
-record (``lowering.analyse``), which is computed once per object.
+statement emitter.  The dynamic, static and hybrid units run it as
+one lane generator, ``_run(args, _out, _i)``, whose result lands in
+``_out[_i]``: one per task, or one per lane, advanced in lockstep or
+one lane at a time.  Marked loads call ``runtime.mark``, which costs
+no Python frame without a prefetch hook.  Every emitter reads the
+definition's analysis record (``lowering.analyse``), computed once per
+object.
 
 Every emitter returns a :class:`SourceText` whose ``entry`` names a
 zero-or-more-argument factory; calling the factory with the shared-arg
@@ -75,7 +78,8 @@ def _header(name: str) -> str:
     return (
         f"# Automatically generated by coroweave {__version__} from coroutine"
         f" def {name!r}. Do not edit by hand.\n"
-        "from coroweave.runtime import fmix32, fmix64, prefetch\n"
+        "import coroweave.runtime as _rt\n"
+        "from coroweave.runtime import fmix32, fmix64\n"
     )
 
 
@@ -118,31 +122,41 @@ def load_unit(src: SourceText) -> Any:
 # -- shared emission helpers
 
 
-def _shared_names(cdef: CoroutineDef) -> list[str]:
-    return [d.name for d in cdef.shared_args]
+def _emit_run(w: _W, cdef: CoroutineDef) -> None:
+    """Print the body once, as the lane generator ``_run(args, _out, _i)``.
 
-
-def _emit_run(w: _W, cdef: CoroutineDef, out: str, cell: str) -> list[str]:
-    """Print the body once, as the generator ``_run``; return its params.
-
-    Every suspension point yields False.  With a result declared,
-    ``_run`` also takes ``out`` (one or more parameter names) and a
-    valued return stores into ``cell``, so the generator holds no
-    reference back to the unit that drives it.
+    Every suspension point yields False, and a valued return stores
+    into ``_out[_i]``, so the generator holds no reference back to the
+    unit or scheduler that drives it.
     """
-    params = [d.name for d in cdef.args]
-    has_result = cdef.result_decl is not None
-    if has_result:
-        params.append(out)
+    params = [d.name for d in cdef.args] + ["_out", "_i"]
     w.put(f"def _run({', '.join(params)}):")
     with w.indent():
-        em = _RoutineEmitter(w, cdef, cell=cell if has_result else None)
+        em = _RoutineEmitter(w, cdef, cell="_out[_i]")
         em.body(cdef.body)
         if not em.yields:
             # Without a suspension point the body would be a plain
             # function; this keeps it a generator and yields nothing.
             w.put("yield from ()")
-    return params
+
+
+def _emit_unit(cdef: CoroutineDef, factory: str, cls: str, *chunks: str) -> SourceText:
+    """Print ``factory(shared...)``, which defines the lane ``_run`` and returns ``cls``.
+
+    The class body is ``chunks``, flush-left text, one blank line apart.
+    """
+    w = _W()
+    w.put(f"def {factory}({', '.join(d.name for d in cdef.shared_args)}):")
+    with w.indent():
+        _emit_run(w, cdef)
+        w.put()
+        w.put(f"class {cls}:")
+        with w.indent():
+            for line in "\n\n".join(chunks).split("\n"):
+                w.put(line)
+        w.put()
+        w.put(f"return {cls.partition('(')[0]}")
+    return SourceText(factory, _header(cdef.name), w.text())
 
 
 # -- dynamic (per-task generator, any control flow)
@@ -151,116 +165,56 @@ def _emit_run(w: _W, cdef: CoroutineDef, out: str, cell: str) -> list[str]:
 def emit_dynamic(cdef: CoroutineDef) -> SourceText:
     """Resumable per-task unit: ``make_<name>(shared...)`` -> class.
 
-    The body is printed once, as a generator nested in the factory
-    whose returns store into a per-instance result cell.  ``step()``
-    advances the generator and returns True at and after completion;
-    ``reset()`` (and so the pull-reject restart path) builds a fresh
-    generator from the stored args, which the body's own mutations
-    never touch.
+    The body is printed once, as the lane generator ``_run``, exposed on
+    the class as ``lane`` for ``interleave_map``.  Instances take
+    ``step()`` and the rest from ``runtime.DynamicUnit``; ``reset()``
+    rebuilds the lane from the stored args, which the body never mutates.
     """
     _check_valid(cdef)
-    cls = f"CoroutineState_{cdef.name}"
-    factory = f"make_{cdef.name}"
     args = [d.name for d in cdef.args]
-    has_result = cdef.result_decl is not None
-    slots = ("_args", "_gen") + (("_out",) if has_result else ())
-
-    w = _W()
-    w.put(f"def {factory}({', '.join(_shared_names(cdef))}):")
-    with w.indent():
-        params = _emit_run(w, cdef, "_out", "_out[0]")
-        w.put()
-        w.put(f"class {cls}:")
-        with w.indent():
-            w.put(f'"""{cdef.name}: one generator per task, advanced by step()."""')
-            w.put()
-            w.put(f"__slots__ = {slots!r}")
-            w.put()
-            w.put(f"def __init__(self{''.join(', ' + a for a in args)}):")
-            with w.indent():
-                w.put(f"self._args = ({', '.join(args)}{',' if len(args) == 1 else ''})")
-                if has_result:
-                    w.put("self._out = _out = [None]")
-                w.put(f"self._gen = _run({', '.join(params)})")
-            w.put()
-            w.put("def step(self):")
-            with w.indent():
-                w.put("return next(self._gen, True)")
-            w.put()
-            w.put("def done(self):")
-            with w.indent():
-                w.put("return self._gen.gi_frame is None")
-            w.put()
-            w.put("def reset(self):")
-            with w.indent():
-                w.put(f"self._gen = _run(*self._args{', self._out' if has_result else ''})")
-            w.put()
-            w.put("def result(self):")
-            with w.indent():
-                w.put("return self._out[0]" if has_result else "return None")
-        w.put()
-        w.put(f"return {cls}")
-    return SourceText(factory, _header(cdef.name), w.text())
+    return _emit_unit(
+        cdef, f"make_{cdef.name}", f"CoroutineState_{cdef.name}(_rt.DynamicUnit)",
+        f'"""{cdef.name}: one lane generator per task, advanced by step()."""',
+        "__slots__ = ()\nlane = _run",
+        f"def __init__(self{''.join(', ' + a for a in args)}):\n"
+        f"    self._args = ({', '.join(args)}{',' if len(args) == 1 else ''})\n"
+        "    self._out = _out = [None]\n"
+        f"    self._gen = _run({''.join(a + ', ' for a in args)}_out, 0)",
+    )
 
 
 # -- static and hybrid (one generator per lane)
 
 
 def _emit_lanes(cdef: CoroutineDef, width: int, factory: str, cls: str, doc: str,
-                consts: str, methods: str, *, stage: bool) -> SourceText:
+                consts: str, *methods: str, stage: bool) -> SourceText:
     """A unit holding one ``_run`` generator per task, up to ``width``.
 
     ``init(tasks)`` takes the group's per-task arg tuples and builds one
     lane generator per tuple, whose valued return stores into the
     lane's cell of ``_result``; ``fini(out)`` copies one cell per lane
     into the head of ``out``.  ``consts`` and ``methods`` are the text
-    of the class constants and of the methods that advance the lanes;
+    of the class constants and of each method that advances the lanes;
     with ``stage`` the unit also keeps a ``_stage`` counter, which
     ``init`` rewinds.
     """
     args = [d.name for d in cdef.args]
-    has_result = cdef.result_decl is not None
     slots = (("_stage",) if stage else ()) + ("_gens", "_result")
+    rewind = "    self._stage = 0\n" if stage else ""
     # a lane unpacks its task tuple positionally
     target = f"({', '.join(args)}{',' if len(args) == 1 else ''})"
-    lanes = f"_i, {target} in enumerate(tasks)" if has_result else f"{target} in tasks"
-
-    w = _W()
-    w.put(f"def {factory}({', '.join(_shared_names(cdef))}):")
-    with w.indent():
-        params = _emit_run(w, cdef, "_out, _i", "_out[_i]")
-        w.put()
-        w.put(f"class {cls}:")
-        with w.indent():
-            w.put(f'"""{cdef.name} across up to {width} {doc}"""')
-            w.put()
-            w.put(f"__slots__ = {slots!r}")
-            w.put()
-            w.put(f"_WIDTH = {width}")
-            w.put_stmt_text(consts)
-            w.put()
-            w.put("def __init__(self):")
-            with w.indent():
-                if stage:
-                    w.put("self._stage = 0")
-                w.put("self._gens = ()")
-                w.put("self._result = []")
-            w.put()
-            w.put("def init(self, tasks):")
-            with w.indent():
-                if stage:
-                    w.put("self._stage = 0")
-                w.put(f"self._result = {'_out = ' if has_result else ''}[None] * len(tasks)")
-                w.put(f"self._gens = [_run({', '.join(params)}) for {lanes}]")
-            w.put()
-            w.put_stmt_text(methods)
-            w.put()
-            w.put("def fini(self, out):")
-            with w.indent():
-                w.put("out[:len(self._result)] = self._result")
-        w.put()
-        w.put(f"return {cls}")
-    return SourceText(factory, _header(cdef.name), w.text())
+    return _emit_unit(
+        cdef, factory, cls,
+        f'"""{cdef.name} across up to {width} {doc}"""',
+        f"__slots__ = {slots!r}",
+        f"_WIDTH = {width}\n{consts}",
+        f"def __init__(self):\n{rewind}    self._gens = ()\n    self._result = []",
+        f"def init(self, tasks):\n{rewind}    self._result = _out = [None] * len(tasks)\n"
+        f"    self._gens = [_run({''.join(a + ', ' for a in args)}_out, _i)"
+        f" for _i, {target} in enumerate(tasks)]",
+        *methods,
+        "def fini(self, out):\n    out[:len(self._result)] = self._result",
+    )
 
 
 def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
@@ -282,16 +236,14 @@ def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
         cdef, width, f"make_{cdef.name}_{width}", f"CoroutineState_{cdef.name}_{width}",
         f"lockstep lanes, {nstages} stage(s) per batch.",
         f"_STAGES = {nstages}",
-        f"""
-        def super_step(self):
-            _stage = self._stage
-            if _stage >= {nstages}:
-                return True
-            for _g in self._gens:
-                next(_g, None)
-            self._stage = _stage + 1
-            return _stage == {nstages - 1}
-        """,
+        "def super_step(self):\n"
+        "    _stage = self._stage\n"
+        f"    if _stage >= {nstages}:\n"
+        "        return True\n"
+        "    for _g in self._gens:\n"
+        "        next(_g, None)\n"
+        "    self._stage = _stage + 1\n"
+        f"    return _stage == {nstages - 1}",
         stage=True,
     )
 
@@ -318,16 +270,12 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
         cdef, width, f"make_hybrid_{cdef.name}_{width}", f"CoroutineHybrid_{cdef.name}_{width}",
         f"lanes: {prefix} lockstep stage(s), then per-lane stepping.",
         f"_PREFIX = {prefix}",
-        f"""
-        def run_prefix(self):
-            _gens = self._gens
-            for _k in range({prefix}):
-                for _g in _gens:
-                    next(_g, None)
-
-        def step_slot(self, _i):
-            return next(self._gens[_i], True)
-        """,
+        "def run_prefix(self):\n"
+        "    _gens = self._gens\n"
+        f"    for _k in range({prefix}):\n"
+        "        for _g in _gens:\n"
+        "            next(_g, None)",
+        "def step_slot(self, _i):\n    return next(self._gens[_i], True)",
         stage=False,
     )
 
@@ -480,7 +428,7 @@ class _RoutineEmitter:
             case dsl.Load(dst=dst, addr=addr, yield_before=yb):
                 if yb:
                     w.put(f"_addr = {addr}")
-                    w.put("prefetch(_addr)")
+                    w.put("_rt.mark(_addr)")
                     self.suspend()
                     addr = "_addr"
                 w.put(f"{dst} = {addr}")
@@ -492,7 +440,7 @@ class _RoutineEmitter:
                 w.put(f"{addr} = {value}")
             case dsl.Prefetch(addrs=addrs):
                 for a in addrs:
-                    w.put(f"prefetch({a})")
+                    w.put(f"_rt.mark({a})")
             case dsl.Yield():
                 self.suspend()
             case dsl.Return(value=value):

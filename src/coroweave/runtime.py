@@ -1,9 +1,11 @@
 """Runtime support imported by generated coroutine modules.
 
-Generated code calls ``prefetch`` at every suspension point.  Pure
-Python cannot issue a real cache-line prefetch, so by default it is a
-no-op; tests and tracers install a hook to observe the address stream
-(e.g. to check that every pointer is announced before it is read).
+Generated code calls ``mark``, looked up here, at every marked load.
+Pure Python cannot issue a real cache-line prefetch, so by default it
+is the builtin ``callable``: no Python frame, no call into the address.
+A hook installed by tests or tracers becomes ``mark`` and sees the
+address stream (e.g. to check that every pointer is announced before
+it is read), also from units loaded before it was installed.
 """
 
 from __future__ import annotations
@@ -19,12 +21,14 @@ __all__ = [
     "fmix64",
     "StepCoroutine",
     "BatchCoroutine",
+    "DynamicUnit",
 ]
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _hook: Callable[[Any], None] | None = None
+mark: Callable[[Any], Any] = callable
 
 
 def prefetch(addr: Any) -> None:
@@ -34,8 +38,9 @@ def prefetch(addr: Any) -> None:
 
 
 def set_prefetch_hook(hook: Callable[[Any], None] | None) -> None:
-    global _hook
+    global _hook, mark
     _hook = hook
+    mark = callable if hook is None else hook
 
 
 @contextlib.contextmanager
@@ -106,3 +111,21 @@ class BatchCoroutine(Protocol):
     def super_step(self) -> bool: ...
 
     def fini(self, out: list) -> None: ...
+
+
+class DynamicUnit:
+    """``StepCoroutine`` over ``_gen``, the lane of ``_args`` into ``_out[0]``."""
+
+    __slots__ = ("_args", "_gen", "_out")
+
+    def step(self) -> bool:
+        return next(self._gen, True)
+
+    def done(self) -> bool:
+        return self._gen.gi_frame is None
+
+    def reset(self) -> None:
+        self.__init__(*self._args)
+
+    def result(self) -> Any:
+        return self._out[0]

@@ -5,13 +5,13 @@ thread.  The number of slots bounds how many loads are outstanding at
 once, so the width should track what the memory subsystem can overlap,
 not how many tasks exist; 48 is a good default on recent server cores.
 
-``run_push_pull`` holds the one slot loop that steps dynamic (per-task)
-units: it sweeps the live slots in slot order and refills a slot as
-soon as its task completes.  ``run_simplest`` and ``interleave_map``
-are push/pull pairs over it whose consumer always accepts.
+``run_push_pull`` sweeps dynamic (per-task) instances in slot order and
+refills a slot as soon as its task completes; ``run_simplest`` is a
+push/pull pair over it whose consumer always accepts, and
+``interleave_map`` runs the same sweep over lane generators.
 ``run_static_batch`` drives lockstep batch units, and ``run_hybrid``
 drives prefix-lockstep units.  Task identity is the caller's problem:
-the dynamic schedulers hand out slot indexes and instances, never task
+the push/pull schedulers hand out slot indexes and instances, never task
 ids, because a slot is reused by many tasks over a run.
 """
 
@@ -29,6 +29,7 @@ __all__ = [
     "run_static_batch",
     "run_hybrid",
     "interleave_map",
+    "TaskError",
 ]
 
 DEFAULT_WIDTH = 48
@@ -178,6 +179,14 @@ def run_hybrid(
     return len(inputs)
 
 
+class TaskError(RuntimeError):
+    """Task ``task_index`` raised in ``slot`` of ``interleave_map``; see ``__cause__``."""
+
+    def __init__(self, task_index: int, slot: int) -> None:
+        super().__init__(f"task {task_index} raised in slot {slot}")
+        self.task_index, self.slot = task_index, slot
+
+
 def interleave_map(
     config: SchedulerConfig,
     factory: Callable[..., StepCoroutine],
@@ -185,24 +194,43 @@ def interleave_map(
 ) -> list:
     """Map ``factory(*task)`` over ``tasks`` with interleaved stepping.
 
-    A push/pull pair over ``run_push_pull`` whose consumer always
-    accepts; it skips ``run_simplest``, whose adapter would add two
-    calls per task.  Results come back in task order regardless of
-    completion order.
+    Sweeps up to ``width`` lanes as ``run_push_pull`` sweeps instances.
+    A generated class's ``lane`` is built as ``lane(*task, results,
+    index)``, straight into the task-ordered results; other factories
+    are stepped through their instances.  A task's exception is
+    re-raised as ``TaskError``.
     """
     results: list[Any] = [None] * len(tasks)
-    slot_task = [0] * config.width
+    # only the class defining ``lane`` runs it; a subclass may override its results
+    lane = getattr(factory, "__dict__", {}).get("lane")
+    if lane is None:
+
+        def lane(*a):  # (*task, out, index), over the factory's instance
+            inst = factory(*a[:-2])
+            while not inst.step():
+                yield False
+            a[-2][a[-1]] = inst.result()
+
     pending = enumerate(tasks)
-
-    def push(slot: int) -> StepCoroutine | None:
-        for t, args in pending:  # takes at most one task
-            slot_task[slot] = t
-            return factory(*args)
-        return None
-
-    def pull(slot: int, inst: StepCoroutine) -> bool:
-        results[slot_task[slot]] = inst.result()
-        return True
-
-    run_push_pull(config, push, pull)
+    gens: list[Any] = []
+    task: list[int] = []
+    slot = list(range(min(config.width, len(tasks))))
+    try:
+        for j, (t, args) in zip(slot, pending):
+            task.append(t)
+            gens.append(lane(*args, results, t))
+        while gens:
+            gone = []
+            for j, g in enumerate(gens):
+                if next(g, True):
+                    for t, args in pending:  # takes at most one task
+                        task[j] = t
+                        gens[j] = lane(*args, results, t)
+                        break
+                    else:
+                        gone.append(j)
+            for j in reversed(gone):
+                del gens[j], task[j], slot[j]
+    except Exception as exc:
+        raise TaskError(task[j], slot[j]) from exc
     return results

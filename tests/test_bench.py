@@ -116,6 +116,24 @@ class TestRunBench:
 
         assert checksum("arith") == checksum("ternary")
 
+    def test_push_pull_row_runs_run_push_pull(self, monkeypatch):
+        import coroweave.bench as bench
+
+        calls = []
+        real = bench.run_push_pull
+
+        def counted(*a):
+            calls.append(1)
+            return real(*a)
+
+        monkeypatch.setattr(bench, "run_push_pull", counted)
+        run_bench(BenchConfig(kernel="bt", policies=("simplest",), **SMALL))
+        assert calls == []
+        rows = run_bench(BenchConfig(kernel="bt", policies=("push_pull",), **SMALL)).rows
+        # one call for the warm-up slice, one for the timed run
+        assert len(calls) == 2
+        assert rows[1].checksum == rows[0].checksum
+
     def test_disagreement_fails_loudly(self, monkeypatch):
         import dataclasses
 

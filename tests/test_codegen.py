@@ -233,10 +233,12 @@ class TestDeterminismAndShape:
 
     def test_dynamic_snippets(self):
         text = emit_dynamic(KERNELS["bt"].build_def()).text
-        assert "    def _run(n, key, _out):" in text
-        assert "__slots__ = ('_args', '_gen', '_out')" in text
-        assert "return next(self._gen, True)" in text
-        assert "self._gen = _run(*self._args, self._out)" in text
+        assert "    def _run(n, key, _out, _i):" in text
+        assert "(_rt.DynamicUnit):" in text
+        assert "__slots__ = ()" in text
+        assert "lane = _run" in text
+        assert "self._gen = _run(n, key, _out, 0)" in text
+        assert "def step(" not in text and "def reset(" not in text
         # a generator unit dispatches on nothing and holds no FSM state
         assert "_b = " not in text and "_state" not in text
 
@@ -734,7 +736,7 @@ class TestAnalysisRecord:
 # SHA-256 over every shape of the kernel definitions and the helper
 # definitions in this file.  A change that alters generated text (the
 # banner's version included) updates it and says so in CHANGES.md.
-EMIT_DIGEST = "a5062af3da593873ab0ff92bda27b32e37e2de7d78d615a17cc06264ff1c4377"
+EMIT_DIGEST = "885f355216a695a3a8813e2f6b784ef2fdcce1854e06b98e56b3a77bc8f31468"
 
 DIGEST_DEFS = {
     **{k: KERNELS[k].build_def for k in sorted(KERNELS)},

@@ -145,3 +145,90 @@ def test_generated_units_satisfy_the_protocols():
         [0, 0], [0, 0], 1
     )
     assert isinstance(batch_cls(), BatchCoroutine)
+
+
+def _kernel_runs():
+    """Each kernel's dynamic definition, shared args and a few queries."""
+    from coroweave.kernels import KERNELS
+
+    for name, k in sorted(KERNELS.items()):
+        ds = k.make_dataset(256, 5)
+        yield name, k.build_def(), k.shared(ds), k.make_queries(ds, 40, 6)
+
+
+class TestMarkBinding:
+    """Marked loads call ``runtime.mark``, rebound by ``set_prefetch_hook``."""
+
+    def test_unit_loaded_before_the_hook_reports_every_address(self):
+        from coroweave import SchedulerConfig, emit_dynamic, interleave_map, load_unit
+
+        cfg = SchedulerConfig(width=4)
+        for name, cdef, shared, queries in _kernel_runs():
+            early = load_unit(emit_dynamic(cdef))(*shared)
+            before, inside = [], []
+            with prefetch_hook(before.append):
+                want = interleave_map(cfg, early, queries)
+            with prefetch_hook(inside.append):
+                late = load_unit(emit_dynamic(cdef))(*shared)
+                assert interleave_map(cfg, late, queries) == want
+            assert before, name
+            # nodes compare by identity, array cells by value
+            assert before == inside, name
+            # unhooked again: the early unit reports nothing more
+            interleave_map(cfg, early, queries)
+            assert len(before) == len(inside), name
+
+    def test_no_hook_costs_no_python_frame(self):
+        import inspect
+        import sys
+
+        from coroweave import emit_dynamic, load_unit
+        from coroweave.kernels import KERNELS
+        from coroweave.kernels.datasets import make_bst
+
+        tree = make_bst(256, 3)
+        cls = load_unit(emit_dynamic(KERNELS["bt"].build_def()))()
+        insts = [cls(tree.root, k) for k in tree.keys[:8]]
+        frames = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames.append(frame.f_code)
+
+        assert runtime._hook is None
+        sys.setprofile(profile)
+        try:
+            # each instance's generator, stepped without step()'s frame
+            for inst in insts:
+                while not next(inst._gen, True):
+                    pass
+        finally:
+            sys.setprofile(None)
+        assert [inst.result().key for inst in insts] == tree.keys[:8]
+        # resuming a lane generator is a call event; nothing else may be
+        assert frames
+        assert [c.co_name for c in frames if not c.co_flags & inspect.CO_GENERATOR] == []
+
+    def test_no_hook_binding_never_calls_into_its_argument(self):
+        class Hostile:
+            def __bool__(self):
+                raise AssertionError("bool")
+
+            def __hash__(self):
+                raise AssertionError("hash")
+
+            def __eq__(self, other):
+                raise AssertionError("eq")
+
+            def __len__(self):
+                raise AssertionError("len")
+
+        from coroweave import emit_dynamic, load_unit
+        from coroweave.dsl import coroutine, prefetch as mark_stmt, yield_
+
+        assert runtime._hook is None
+        runtime.mark(Hostile())
+        cdef = coroutine("touch").arg("object", "p").body(mark_stmt("p"), yield_())
+        inst = load_unit(emit_dynamic(cdef))()(Hostile())
+        while not inst.step():
+            pass

@@ -1,5 +1,6 @@
 """Scheduler semantics: exactly-once, ordering, backpressure, batching."""
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -11,6 +12,7 @@ import defgen
 
 from coroweave import (
     SchedulerConfig,
+    TaskError,
     emit_dynamic,
     emit_hybrid,
     emit_routine,
@@ -22,7 +24,18 @@ from coroweave import (
     run_simplest,
     run_static_batch,
 )
-from coroweave.dsl import assign, coroutine, opaque, return_, while_, yield_
+from coroweave.dsl import (
+    Decl,
+    DeclKind,
+    Store,
+    assign,
+    coroutine,
+    opaque,
+    return_,
+    validate,
+    while_,
+    yield_,
+)
 from coroweave.schedulers import DEFAULT_WIDTH
 
 
@@ -440,6 +453,128 @@ class TestInterleaveMap:
         for width in (1, 2, 48):
             out = interleave_map(SchedulerConfig(width=width), cls, tasks)
             assert out == [routine(t) for t in range(25)]
+
+
+def void_twin(d):
+    """``d`` without a result: its final return stores into a shared ``sink[x]``.
+
+    A ``defgen`` definition never assigns ``x`` and returns only at its
+    end, so the twin leaves in ``sink`` what ``d`` returns.
+    """
+    *stmts, ret = d.body.stmts
+    decls = [Decl(DeclKind.SHARED_ARG, "dict", "sink")]
+    decls += [x for x in d.decls if x.kind is not DeclKind.RESULT]
+    body = dataclasses.replace(d.body, stmts=(*stmts, Store("sink[x]", ret.value)))
+    twin = dataclasses.replace(d, name="void_" + d.name, decls=tuple(decls), body=body)
+    assert not validate(twin)
+    return twin
+
+
+def failing_def():
+    """Two suspensions around an opaque ``1 // x``: fails for x == 0."""
+    return (
+        coroutine("inverse")
+        .result("int", "out")
+        .arg("int", "x")
+        .variable("int", "q", "0")
+        .body(yield_(), opaque("q = 1 // x"), yield_(), return_("q + x"))
+    )
+
+
+class TestInterleaveMapLanes:
+    """Generated lanes, the instance adapter and the routine agree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        defgen.coroutine_defs(),
+        st.booleans(),
+        st.integers(1, 6),
+        st.lists(st.integers(0, 999), max_size=20),
+    )
+    def test_lane_adapter_and_routine_agree(self, d, has_result, width, xs):
+        cfg = SchedulerConfig(width=width)
+        tasks = [(x,) for x in xs]
+        if has_result:
+            routine = load_unit(emit_routine(d))
+            cls = load_unit(emit_dynamic(d))()
+            want = [routine(x) for x in xs]
+            assert interleave_map(cfg, cls, tasks) == want
+            assert interleave_map(cfg, lambda *a: cls(*a), tasks) == want
+            return
+        d = void_twin(d)
+        routine = load_unit(emit_routine(d))
+        want: dict = {}
+        for x in xs:
+            routine(want, x)
+        sinks = []
+        for wrap in (lambda cls: cls, lambda cls: lambda *a: cls(*a)):
+            sink: dict = {}
+            cls = load_unit(emit_dynamic(d))(sink)
+            assert interleave_map(cfg, wrap(cls), tasks) == [None] * len(xs)
+            sinks.append(sink)
+        assert sinks == [want, want]
+
+    def test_generated_class_exposes_its_lane(self):
+        cls = load_unit(emit_dynamic(looped_tail_def()))()
+        out = [None, None]
+        g = cls.lane(4, out, 1)
+        while not next(g, True):
+            pass
+        assert out == [None, load_unit(emit_routine(looped_tail_def()))(4)]
+
+    def test_subclass_overrides_are_honoured(self):
+        cls = load_unit(emit_dynamic(looped_tail_def()))()
+
+        class Negated(cls):
+            __slots__ = ()
+
+            def result(self):
+                return -super().result()
+
+        routine = load_unit(emit_routine(looped_tail_def()))
+        tasks = [(t,) for t in range(7)]
+        out = interleave_map(SchedulerConfig(width=3), Negated, tasks)
+        assert out == [-routine(t) for t in range(7)]
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_more_slots_than_tasks(self, count):
+        d = looped_tail_def()
+        routine = load_unit(emit_routine(d))
+        cls = load_unit(emit_dynamic(d))()
+        tasks = [(t,) for t in range(count)]
+        want = [routine(t) for t in range(count)]
+        for factory in (cls, lambda *a: cls(*a)):
+            assert interleave_map(SchedulerConfig(width=8), factory, tasks) == want
+
+
+class TestTaskError:
+    """A task's exception comes out of interleave_map naming that task."""
+
+    XS = [3, 2, 0, 5, 1]
+
+    @pytest.mark.parametrize("wrap", ["lane", "factory"])
+    def test_failing_task_is_named(self, wrap):
+        cls = load_unit(emit_dynamic(failing_def()))()
+        factory = cls if wrap == "lane" else (lambda *a: cls(*a))
+        with pytest.raises(TaskError) as info:
+            interleave_map(SchedulerConfig(width=2), factory, [(x,) for x in self.XS])
+        # tasks 0 and 1 take slots 0 and 1 and finish together, so task
+        # 2 refills slot 0
+        assert info.value.task_index == 2
+        assert info.value.slot == 0
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    def test_hand_written_class(self):
+        class Inverse(Task):
+            def step(self):
+                if self.tid == 4:
+                    1 // 0
+                return super().step()
+
+        with pytest.raises(TaskError) as info:
+            interleave_map(SchedulerConfig(width=3), Inverse, [(t, 1) for t in range(6)])
+        assert (info.value.task_index, info.value.slot) == (4, 1)
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 # One input per task for random definitions; distinct inputs make most
