@@ -199,21 +199,16 @@ def _policy_runner(
             return [result_key(r) for r in mapper(sched, cls, queries)]
 
         return run
-    if policy == "static":
-        unit = load_unit(emit_static(_build_def(cfg, k), cfg.width))(*shared)()
+    if policy in ("static", "hybrid"):
+        if policy == "static":
+            emit, drive, cdef = emit_static, run_static_batch, _build_def(cfg, k)
+        else:
+            emit, drive, cdef = emit_hybrid, run_hybrid, k.build_hybrid_def()
+        unit = load_unit(emit(cdef, cfg.width))(*shared)()
 
         def run(queries: list[tuple]) -> list[int]:
             out: list[Any] = [None] * len(queries)
-            run_static_batch(sched, unit, queries, out)
-            return [result_key(r) for r in out]
-
-        return run
-    if policy == "hybrid":
-        unit = load_unit(emit_hybrid(k.build_hybrid_def(), cfg.width))(*shared)()
-
-        def run(queries: list[tuple]) -> list[int]:
-            out: list[Any] = [None] * len(queries)
-            run_hybrid(sched, unit, queries, out)
+            drive(sched, unit, queries, out)
             return [result_key(r) for r in out]
 
         return run

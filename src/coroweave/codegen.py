@@ -18,10 +18,11 @@ All four print the definition's structured control flow through one
 statement emitter.  The dynamic, static and hybrid units run it as
 one lane generator, ``_run(args, _out, _i)``, whose result lands in
 ``_out[_i]``: one per task, or one per lane, advanced in lockstep or
-one lane at a time.  Marked loads call ``runtime.mark``, which costs
-no Python frame without a prefetch hook.  Every emitter reads the
-definition's analysis record (``lowering.analyse``), computed once per
-object.
+one lane at a time.  A class prints only the dynamic ``__init__``, or a
+batch class's constants and ``init``; the rest is ``runtime.DynamicUnit``
+or ``runtime.BatchUnit``.  Marked loads call ``runtime.mark``, which
+costs no Python frame without a prefetch hook.  Every emitter reads the
+definition's analysis record (``lowering.analyse``), once per object.
 
 Every emitter returns a :class:`SourceText` whose ``entry`` names a
 zero-or-more-argument factory; calling the factory with the shared-arg
@@ -187,33 +188,24 @@ def emit_dynamic(cdef: CoroutineDef) -> SourceText:
 
 
 def _emit_lanes(cdef: CoroutineDef, width: int, factory: str, cls: str, doc: str,
-                consts: str, *methods: str, stage: bool) -> SourceText:
-    """A unit holding one ``_run`` generator per task, up to ``width``.
+                consts: str = "") -> SourceText:
+    """A ``runtime.BatchUnit`` subclass for up to ``width`` lanes, one ``_run`` per task.
 
-    ``init(tasks)`` takes the group's per-task arg tuples and builds one
-    lane generator per tuple, whose valued return stores into the
-    lane's cell of ``_result``; ``fini(out)`` copies one cell per lane
-    into the head of ``out``.  ``consts`` and ``methods`` are the text
-    of the class constants and of each method that advances the lanes;
-    with ``stage`` the unit also keeps a ``_stage`` counter, which
-    ``init`` rewinds.
+    The class prints only its constants, ``_WIDTH`` then ``consts``, and
+    ``init(tasks)``, which builds one lane generator per task tuple; a
+    lane's valued return stores into its cell of ``_result``.
     """
     args = [d.name for d in cdef.args]
-    slots = (("_stage",) if stage else ()) + ("_gens", "_result")
-    rewind = "    self._stage = 0\n" if stage else ""
     # a lane unpacks its task tuple positionally
     target = f"({', '.join(args)}{',' if len(args) == 1 else ''})"
     return _emit_unit(
-        cdef, factory, cls,
+        cdef, factory, f"{cls}(_rt.BatchUnit)",
         f'"""{cdef.name} across up to {width} {doc}"""',
-        f"__slots__ = {slots!r}",
-        f"_WIDTH = {width}\n{consts}",
-        f"def __init__(self):\n{rewind}    self._gens = ()\n    self._result = []",
-        f"def init(self, tasks):\n{rewind}    self._result = _out = [None] * len(tasks)\n"
+        "__slots__ = ()",
+        f"_WIDTH = {width}{consts}",
+        "def init(self, tasks):\n    self._result = _out = [None] * len(tasks)\n"
         f"    self._gens = [_run({''.join(a + ', ' for a in args)}_out, _i)"
         f" for _i, {target} in enumerate(tasks)]",
-        *methods,
-        "def fini(self, out):\n    out[:len(self._result)] = self._result",
     )
 
 
@@ -221,41 +213,27 @@ def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
     """Lockstep batch unit: ``make_<name>_<width>(shared...)`` -> class.
 
     Requires a straight-line state machine (stage k suspends only into
-    stage k+1), so every lane suspends exactly once per stage.
-    ``init(tasks)`` builds one lane per task, up to ``width``;
-    ``super_step()`` advances each lane's generator once, in lane
-    order, and returns True once the final stage ran.
+    stage k+1), so each ``super_step()`` takes every lane through one
+    stage, and all lanes finish on the same call.
     """
     if width < 1:
         raise CodegenError(f"{cdef.name}: width must be >= 1, got {width}")
-    nstages = len(split_stages(cdef).state_entry)
+    split_stages(cdef)
     err = analyse(cdef).straight_line_error
     if err is not None:
         raise CodegenError(f"{cdef.name}: {err}")
     return _emit_lanes(
         cdef, width, f"make_{cdef.name}_{width}", f"CoroutineState_{cdef.name}_{width}",
-        f"lockstep lanes, {nstages} stage(s) per batch.",
-        f"_STAGES = {nstages}",
-        "def super_step(self):\n"
-        "    _stage = self._stage\n"
-        f"    if _stage >= {nstages}:\n"
-        "        return True\n"
-        "    for _g in self._gens:\n"
-        "        next(_g, None)\n"
-        "    self._stage = _stage + 1\n"
-        f"    return _stage == {nstages - 1}",
-        stage=True,
+        "lockstep lanes.",
     )
 
 
 def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
     """Prefix-lockstep unit: ``make_hybrid_<name>_<width>(shared...)``.
 
-    ``init(tasks)`` builds one lane per task, up to ``width``;
-    ``run_prefix()`` advances every lane's generator through the
-    statically hinted leading stages, one stage at a time across all
-    lanes; afterwards ``step_slot(i)`` advances lane ``i`` alone and
-    returns True at and after its completion.
+    ``run_prefix()`` takes every lane through the ``_PREFIX`` statically
+    hinted leading stages in lockstep; then ``step_slot(i)`` advances
+    lane ``i`` alone and returns True at and after its completion.
     """
     if width < 1:
         raise CodegenError(f"{cdef.name}: width must be >= 1, got {width}")
@@ -269,14 +247,7 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
     return _emit_lanes(
         cdef, width, f"make_hybrid_{cdef.name}_{width}", f"CoroutineHybrid_{cdef.name}_{width}",
         f"lanes: {prefix} lockstep stage(s), then per-lane stepping.",
-        f"_PREFIX = {prefix}",
-        "def run_prefix(self):\n"
-        "    _gens = self._gens\n"
-        f"    for _k in range({prefix}):\n"
-        "        for _g in _gens:\n"
-        "            next(_g, None)",
-        "def step_slot(self, _i):\n    return next(self._gens[_i], True)",
-        stage=False,
+        f"\n_PREFIX = {prefix}",
     )
 
 

@@ -385,7 +385,12 @@ def return_(value: str | None = None) -> Return:
 
 
 def yield_(hint: str = "default") -> Yield:
-    return Yield(YieldHint(hint))
+    try:
+        value = YieldHint(hint)
+    except ValueError:
+        allowed = ", ".join(repr(h.value) for h in YieldHint)
+        raise DslError(f"yield hint {hint!r} is not one of {allowed}") from None
+    return Yield(value)
 
 
 def prefetch(*addrs: str) -> Prefetch:

@@ -68,7 +68,6 @@ class Stage:
     """Per-state view: everything reachable without crossing a yield."""
 
     id: int
-    block_ids: tuple[int, ...]
     stmt_count: int
     successors: tuple[int, ...]
     hint: YieldHint
@@ -391,7 +390,7 @@ def _build_stages(blocks, state_entry, finished_id) -> tuple[Stage, ...]:
         succs = sorted(succ_states) + ([finished_id] if reaches_finish else [])
         hint = hints.pop() if len(hints) == 1 else YieldHint.DEFAULT
         stmt_count = sum(len(blocks[b].ops) for b in seen)
-        stages.append(Stage(sid, tuple(sorted(seen)), stmt_count, tuple(succs), hint))
+        stages.append(Stage(sid, stmt_count, tuple(succs), hint))
     return tuple(stages)
 
 

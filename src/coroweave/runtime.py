@@ -6,6 +6,9 @@ is the builtin ``callable``: no Python frame, no call into the address.
 A hook installed by tests or tracers becomes ``mark`` and sees the
 address stream (e.g. to check that every pointer is announced before
 it is read), also from units loaded before it was installed.
+
+``DynamicUnit`` and ``BatchUnit`` hold every method that a generated
+class does not print: a class prints only how it builds its lanes.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ __all__ = [
     "StepCoroutine",
     "BatchCoroutine",
     "DynamicUnit",
+    "BatchUnit",
 ]
 
 _MASK32 = 0xFFFFFFFF
@@ -129,3 +133,31 @@ class DynamicUnit:
 
     def result(self) -> Any:
         return self._out[0]
+
+
+class BatchUnit:
+    """``BatchCoroutine`` over the lanes a generated ``init`` builds; a hybrid sets ``_PREFIX``."""
+
+    __slots__ = ("_gens", "_result")
+
+    def __init__(self) -> None:
+        self._gens = ()
+        self._result = []
+
+    def super_step(self) -> bool:
+        done = True
+        for g in self._gens:
+            if not next(g, True):
+                done = False
+        return done
+
+    def run_prefix(self) -> None:
+        for _ in range(self._PREFIX):
+            for g in self._gens:
+                next(g, None)
+
+    def step_slot(self, i: int) -> bool:
+        return next(self._gens[i], True)
+
+    def fini(self, out: list) -> None:
+        out[:len(self._result)] = self._result

@@ -9,16 +9,17 @@ not how many tasks exist; 48 is a good default on recent server cores.
 refills a slot as soon as its task completes; ``run_simplest`` is a
 push/pull pair over it whose consumer always accepts, and
 ``interleave_map`` runs the same sweep over lane generators.
-``run_static_batch`` drives lockstep batch units, and ``run_hybrid``
-drives prefix-lockstep units.  Task identity is the caller's problem:
-the push/pull schedulers hand out slot indexes and instances, never task
-ids, because a slot is reused by many tasks over a run.
+``run_static_batch`` and ``run_hybrid`` share one loop over width
+groups of batch units and differ in how they drive a group: in
+lockstep, or a lockstep prefix then lane by lane.  Task identity is
+the caller's problem: the push/pull schedulers hand out slot indexes
+and instances, never task ids, because a slot is reused by many tasks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .runtime import BatchCoroutine, StepCoroutine
 
@@ -117,6 +118,22 @@ def run_push_pull(
     return accepted
 
 
+def _groups(config: SchedulerConfig, unit: Any, inputs: Sequence[tuple], outputs: list,
+            what: str) -> Iterator[int]:
+    """Build each width group into ``unit``, yield its task count, then copy out its results."""
+    width = config.width
+    unit_width = getattr(type(unit), "_WIDTH", None)
+    if unit_width is not None and unit_width != width:
+        raise ValueError(f"config width {width} != {what} unit width {unit_width}")
+    buf: list[Any] = [None] * width
+    for g in range(0, len(inputs), width):
+        group = inputs[g:g + width]
+        unit.init(group)
+        yield len(group)
+        unit.fini(buf)
+        outputs[g:g + len(group)] = buf[:len(group)]
+
+
 def run_static_batch(
     config: SchedulerConfig,
     batch: BatchCoroutine,
@@ -132,18 +149,9 @@ def run_static_batch(
     for callers written against padded groups and ignored.  Returns
     the task count.
     """
-    width = config.width
-    unit_width = getattr(type(batch), "_WIDTH", None)
-    if unit_width is not None and unit_width != width:
-        raise ValueError(f"config width {width} != batch unit width {unit_width}")
-    buf: list[Any] = [None] * width
-    for g in range(0, len(inputs), width):
-        group = inputs[g:g + width]
-        batch.init(group)
+    for _n in _groups(config, batch, inputs, outputs, "batch"):
         while not batch.super_step():
             pass
-        batch.fini(buf)
-        outputs[g:g + len(group)] = buf[:len(group)]
     return len(inputs)
 
 
@@ -156,26 +164,14 @@ def run_hybrid(
 ) -> int:
     """Drive a prefix-lockstep unit: batch prefix, per-lane finish.
 
-    Each width group runs one lane per task: the statically scheduled
-    stage prefix in lockstep, then the remaining stages by round-robin
-    stepping over the lanes still live, in lane order.  ``pad`` is
-    accepted for callers written against padded groups and ignored.
-    Returns the task count.
+    After the prefix, each group steps its live lanes round-robin, in
+    lane order.  Arguments and result are as for ``run_static_batch``.
     """
-    width = config.width
-    unit_width = getattr(type(unit), "_WIDTH", None)
-    if unit_width is not None and unit_width != width:
-        raise ValueError(f"config width {width} != hybrid unit width {unit_width}")
-    buf: list[Any] = [None] * width
-    for g in range(0, len(inputs), width):
-        group = inputs[g:g + width]
-        unit.init(group)
+    for n in _groups(config, unit, inputs, outputs, "hybrid"):
         unit.run_prefix()
-        live = range(len(group))
+        live = range(n)
         while live:
             live = [i for i in live if not unit.step_slot(i)]
-        unit.fini(buf)
-        outputs[g:g + len(group)] = buf[:len(group)]
     return len(inputs)
 
 

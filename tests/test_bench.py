@@ -289,6 +289,8 @@ class TestCli:
             ("name.py", "nosuch()\n", "coroweave: builder source: name 'nosuch'"),
             ("method.py", "coroutine('f').nosuch()\n", "coroweave: builder source: "),
             ("arity.py", "coroutine()\n", "coroweave: builder source: "),
+            ("hint.py", "coroutine('k').body(yield_('bogus'))\n",
+             "coroweave: yield hint 'bogus' is not one of 'default', 'static', 'dynamic'"),
         ]:
             src = tmp_path / name
             src.write_text(text)

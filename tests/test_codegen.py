@@ -527,6 +527,18 @@ def assert_tallies_match_routine(d, runner, emit):
         assert tally == want_tally, width
 
 
+def assert_super_steps(d, *shared):
+    """Each group's super_step() is False once per suspension, then True for good."""
+    n = split_stages(d).suspension_count
+    for width in FUZZ_WIDTHS:
+        batch = load_unit(emit_static(d, width))(*shared)()
+        # at widths 3 and 8 the last group is short
+        for g in range(0, len(FUZZ_TASKS), width):
+            batch.init(FUZZ_TASKS[g:g + width])
+            steps = [batch.super_step() for _ in range(n + 3)]
+            assert steps == [False] * n + [True] * 3, (width, g)
+
+
 class TestStaticUnit:
     @settings(max_examples=40, deadline=None)
     @given(defgen.straight_line_defs())
@@ -553,10 +565,11 @@ class TestStaticUnit:
         rounds = 0
         while not batch.super_step():
             rounds += 1
-        assert rounds == cls._STAGES - 1
+        assert rounds == split_stages(d).suspension_count
         out = [None] * 4
         batch.fini(out)
         assert out == [routine(x) for x in xs]
+        assert_super_steps(d)
 
     def test_batch_reuse_rewinds_the_schedule(self):
         # a second init() must restart stage 0, not replay stale results
@@ -591,7 +604,7 @@ class TestStaticUnit:
 
     def test_hash_kernel_with_hints(self):
         d = hashtable_find_def(static_hints=True)
-        assert "super_step" in emit_static(d, 8).text
+        assert_super_steps(d, [0] * 8, [0] * 8, 7)
 
 
 class TestHybridUnit:
@@ -626,6 +639,13 @@ class TestHybridUnit:
             out = [None, None]
             unit.fini(out)
             assert out == [routine(x) for x in xs]
+
+    def test_super_step_waits_for_every_lane(self):
+        # lanes of a data-dependent tail finish on different steps
+        d = hybrid_tail_def()
+        routine = load_unit(emit_routine(d))
+        make = load_unit(emit_hybrid(d, 3))()
+        assert run_lockstep(run_static_batch, make, 3) == [routine(x) for (x,) in FUZZ_TASKS]
 
     def test_tail_resume_reenters_prefix_states(self):
         d = relay_def()
@@ -736,7 +756,7 @@ class TestAnalysisRecord:
 # SHA-256 over every shape of the kernel definitions and the helper
 # definitions in this file.  A change that alters generated text (the
 # banner's version included) updates it and says so in CHANGES.md.
-EMIT_DIGEST = "885f355216a695a3a8813e2f6b784ef2fdcce1854e06b98e56b3a77bc8f31468"
+EMIT_DIGEST = "5659362081d0a4efe54ea7fc0855e410241e36c218d20db32485263aed4bda74"
 
 DIGEST_DEFS = {
     **{k: KERNELS[k].build_def for k in sorted(KERNELS)},

@@ -1,5 +1,6 @@
 """Finalizer hashes and the prefetch observation hook."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from coroweave import runtime
@@ -134,17 +135,40 @@ class TestPrefetchHook:
         assert runtime._hook is None
 
 
-def test_generated_units_satisfy_the_protocols():
-    from coroweave import emit_dynamic, emit_static, load_unit
+def _generated_classes():
+    """A loaded class of each generated shape."""
+    from coroweave import emit_dynamic, emit_hybrid, emit_static, load_unit
     from coroweave.kernels import KERNELS
     from coroweave.kernels.defs import hashtable_find_def
 
-    cls = load_unit(emit_dynamic(KERNELS["bt"].build_def()))()
-    assert isinstance(cls(None, 1), StepCoroutine)
-    batch_cls = load_unit(emit_static(hashtable_find_def(static_hints=True), 2))(
-        [0, 0], [0, 0], 1
-    )
-    assert isinstance(batch_cls(), BatchCoroutine)
+    ht = hashtable_find_def(static_hints=True)
+    return {
+        "dynamic": load_unit(emit_dynamic(KERNELS["bt"].build_def()))(),
+        "static": load_unit(emit_static(ht, 2))([0, 0], [0, 0], 1),
+        "hybrid": load_unit(emit_hybrid(ht, 2))([0, 0], [0, 0], 1),
+    }
+
+
+def test_generated_units_satisfy_the_protocols():
+    classes = _generated_classes()
+    assert isinstance(classes["dynamic"](None, 1), StepCoroutine)
+    for shape in ("static", "hybrid"):
+        assert isinstance(classes[shape](), BatchCoroutine), shape
+
+
+# The methods perfbench's tracer looks up on each shape and wraps.
+TRACED_METHODS = {
+    "dynamic": ("__init__", "step", "reset"),
+    "static": ("init", "super_step", "fini"),
+    "hybrid": ("init", "run_prefix", "step_slot", "fini"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TRACED_METHODS))
+def test_generated_units_have_the_traced_methods(shape):
+    cls = _generated_classes()[shape]
+    for method in TRACED_METHODS[shape]:
+        assert callable(getattr(cls, method, None)), method
 
 
 def _kernel_runs():
