@@ -14,9 +14,10 @@ all of them at once.
 
 from __future__ import annotations
 
+import ast
 import enum
 import keyword
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 __all__ = [
     "DslError",
@@ -81,8 +82,8 @@ def _check_user_ident(name: str, what: str) -> str:
     if not isinstance(name, str) or not name.isidentifier() or keyword.iskeyword(name):
         raise DslError(f"{what} {name!r} is not a valid identifier")
     if name.startswith("_"):
-        # Leading underscores are reserved for generated machinery (_state,
-        # _result, _cond, _addr, dispatch temporaries).
+        # Reserved for generated names: _run, _rt, _out, _i, _addr, _cond,
+        # _rs and the numbered _sw, _once, _brk, _cont and _ca temporaries.
         raise DslError(f"{what} {name!r} uses the reserved leading underscore")
     return name
 
@@ -664,139 +665,137 @@ def validate(cdef: CoroutineDef) -> list[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# Debug printer (round-trips through parse_builder_source)
+# Builder source: the printer, and a parser that admits only builder calls
+
+# The statement builders by the node each builds.  The printer names a
+# leaf's builder from here; the parser calls these, coroutine and let,
+# and no other function.
+_BUILDERS = {
+    Block: block, If: if_, Switch: switch_, While: while_, DoWhile: do_,
+    Opaque: opaque, Break: break_, Continue: continue_, Return: return_,
+    Yield: yield_, Prefetch: prefetch, Load: load, Store: store, Assign: assign,
+    Call: call,
+}
+_BUILDER_NAMES = {f.__name__: f for f in (coroutine, let, *_BUILDERS.values())}
+# The parser calls public methods of these and of nothing else.
+_BUILDER_OBJECTS = (CoroutineBuilder, IfBuilder, WhileBuilder, DoWhileBuilder, SwitchBuilder)
 
 
-def _fmt_call(name: str, args: list[str], indent: int, inline: bool) -> str:
-    if inline:
-        return f"{name}({', '.join(args)})"
+def _decl_args(d: Decl) -> str:
+    parts = [d.type_text] if d.kind is DeclKind.RESULT and d.name == "result" else [d.type_text, d.name]
+    if d.init is not None:
+        parts.append(d.init)
+    return ", ".join(map(repr, parts))
+
+
+def _block_call(name: str, blk: Block, indent: int, lead: tuple = (), inline: bool = True) -> str:
+    """``name`` applied to ``lead`` and ``blk``'s items, one item a line."""
+    items = [*lead, *(f"let({_decl_args(d)})" for d in blk.decls)]
+    items += [_stmt(s, indent + 2) for s in blk.stmts]
+    if inline and not items:
+        return f"{name}()"
     pad = " " * (indent + 2)
-    inner = ",\n".join(pad + a for a in args)
-    return f"{name}(\n{inner})"
+    return f"{name}(\n" + ",\n".join(pad + a for a in items) + ")"
 
 
-class _Printer:
-    def stmt(self, s, indent: int) -> str:
-        match s:
-            case Opaque(text=text):
-                return f"opaque({text!r})"
-            case Block():
-                items = [f"let({d.type_text!r}, {d.name!r}" + (f", {d.init!r})" if d.init is not None else ")") for d in s.decls]
-                items += [self.stmt(c, indent + 2) for c in s.stmts]
-                return _fmt_call("block", items, indent, inline=not items)
-            case If(cond=cond, then=then, orelse=orelse, yield_before=yb):
-                text = f"if_({cond!r})"
-                if yb:
-                    text += ".yield_before()"
-                text += self._suffix("then_", then, indent)
-                if orelse is not None:
-                    text += self._suffix("else_", orelse, indent)
-                return text
-            case Switch(scrutinee=scrutinee, cases=cases, default=default):
-                text = f"switch_({scrutinee!r})"
-                for const, blk in cases:
-                    text += self._suffix("case_", blk, indent, lead=repr(const))
-                if default is not None:
-                    text += self._suffix("default_", default, indent)
-                return text
-            case While(cond=cond, body=body):
-                return f"while_({cond!r})" + self._suffix("do_", body, indent)
-            case DoWhile(body=body, cond=cond):
-                head = _fmt_call("do_", self._items(body, indent), indent, inline=False)
-                return f"{head}.while_({cond!r})"
-            case Break():
-                return "break_()"
-            case Continue():
-                return "continue_()"
-            case Return(value=None):
-                return "return_()"
-            case Return(value=value):
-                return f"return_({value!r})"
-            case Yield(hint=hint):
-                return "yield_()" if hint is YieldHint.DEFAULT else f"yield_({hint.value!r})"
-            case Prefetch(addrs=addrs):
-                return f"prefetch({', '.join(repr(a) for a in addrs)})"
-            case Load(dst=dst, addr=addr, yield_before=yb):
-                tail = ", yield_before=True" if yb else ""
-                return f"load({dst!r}, {addr!r}{tail})"
-            case Store(addr=addr, value=value, yield_before=yb):
-                tail = ", yield_before=True" if yb else ""
-                return f"store({addr!r}, {value!r}{tail})"
-            case Assign(dst=dst, value=value):
-                return f"assign({dst!r}, {value!r})"
-            case Call(callee=callee, args=args):
-                parts = [repr(callee)] + [repr(a) for a in args]
-                return f"call({', '.join(parts)})"
+def _stmt(s, indent: int) -> str:
+    match s:
+        case Block():
+            return _block_call("block", s, indent)
+        case If(cond=cond, then=then, orelse=orelse, yield_before=yb):
+            text = f"if_({cond!r})" + (".yield_before()" if yb else "")
+            text += _block_call(".then_", then, indent)
+            if orelse is not None:
+                text += _block_call(".else_", orelse, indent)
+            return text
+        case Switch(scrutinee=scrutinee, cases=cases, default=default):
+            text = f"switch_({scrutinee!r})"
+            for const, blk in cases:
+                text += _block_call(".case_", blk, indent, (repr(const),))
+            if default is not None:
+                text += _block_call(".default_", default, indent)
+            return text
+        case While(cond=cond, body=body):
+            return f"while_({cond!r})" + _block_call(".do_", body, indent)
+        case DoWhile(body=body, cond=cond):
+            return _block_call("do_", body, indent, inline=False) + f".while_({cond!r})"
+    if type(s) not in _BUILDERS:
         raise TypeError(f"unprintable node {s!r}")
-
-    def _items(self, blk: Block, indent: int) -> list[str]:
-        items = [f"let({d.type_text!r}, {d.name!r}" + (f", {d.init!r})" if d.init is not None else ")") for d in blk.decls]
-        return items + [self.stmt(c, indent + 2) for c in blk.stmts]
-
-    def _suffix(self, method: str, blk: Block, indent: int, lead: str | None = None) -> str:
-        items = ([lead] if lead is not None else []) + self._items(blk, indent)
-        return "." + _fmt_call(method, items, indent, inline=not items)
+    # A leaf's builder takes the leaf's fields in order, defaults last: a
+    # default is left out, a true flag is passed by name, a tuple is
+    # splatted and an enum passes its value.
+    args = []
+    for f in fields(s):
+        v = getattr(s, f.name)
+        if v == f.default:
+            continue
+        if v is True:
+            args.append(f"{f.name}=True")
+        elif isinstance(v, tuple):
+            args += map(repr, v)
+        else:
+            args.append(repr(v.value if isinstance(v, enum.Enum) else v))
+    return f"{_BUILDERS[type(s)].__name__}({', '.join(args)})"
 
 
 def to_builder_source(cdef: CoroutineDef) -> str:
     """Render a definition as the builder calls that reconstruct it.
 
     Output is deterministic, newline-terminated, and indented by two
-    spaces per nesting level; ``parse_builder_source`` evaluates it
-    back into a structurally equal tree.
+    spaces per nesting level; ``parse_builder_source`` reads it back
+    into a structurally equal tree.
     """
-    p = _Printer()
     lines = [f"(coroutine({cdef.name!r})"]
-    for d in cdef.decls:
-        match d.kind:
-            case DeclKind.RESULT:
-                args = f"{d.type_text!r}" if d.name == "result" else f"{d.type_text!r}, {d.name!r}"
-                lines.append(f"  .result({args})")
-            case DeclKind.ARG:
-                lines.append(f"  .arg({d.type_text!r}, {d.name!r})")
-            case DeclKind.SHARED_ARG:
-                lines.append(f"  .shared_arg({d.type_text!r}, {d.name!r})")
-            case DeclKind.VARIABLE:
-                init = f", {d.init!r}" if d.init is not None else ""
-                lines.append(f"  .variable({d.type_text!r}, {d.name!r}{init})")
-    body_items = p._items(cdef.body, 2)
-    lines.append("  " + _fmt_call(".body", body_items, 2, inline=not body_items).lstrip())
+    # each declaration kind's value names its CoroutineBuilder method
+    lines += [f"  .{d.kind.value}({_decl_args(d)})" for d in cdef.decls]
+    lines.append("  " + _block_call(".body", cdef.body, 2))
     return "\n".join(lines) + ")\n"
 
 
-_BUILDER_NAMESPACE = {
-    "coroutine": coroutine,
-    "opaque": opaque,
-    "block": block,
-    "let": let,
-    "if_": if_,
-    "switch_": switch_,
-    "while_": while_,
-    "do_": do_,
-    "break_": break_,
-    "continue_": continue_,
-    "return_": return_,
-    "yield_": yield_,
-    "prefetch": prefetch,
-    "load": load,
-    "store": store,
-    "assign": assign,
-    "call": call,
-}
+def _value(node: ast.expr):
+    # A method chain is unwound in a loop, so a long declaration chain
+    # costs no recursion; only arguments nest, as deep as the tokenizer
+    # lets parentheses nest.
+    if isinstance(node, ast.Constant) and type(node.value) in (str, int, bool):
+        return node.value
+    chain = []
+    while isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        chain.append(node)
+        node = node.func.value
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
+        bad = node.func if isinstance(node, ast.Call) else node
+        # columns count UTF-8 bytes, so they are characters on ASCII lines
+        raise DslError(f"builder source {bad.lineno}:{bad.col_offset + 1}: {type(bad).__name__} is not allowed")
+    if node.func.id not in _BUILDER_NAMES:
+        raise DslError(f"builder source: name {node.func.id!r} is not defined")
+    value = _apply(_BUILDER_NAMES[node.func.id], node)
+    for c in reversed(chain):
+        name = c.func.attr
+        if not isinstance(value, _BUILDER_OBJECTS) or name.startswith("_") or not hasattr(value, name):
+            raise DslError(f"builder source: {type(value).__name__!r} object has no builder method {name!r}")
+        value = _apply(getattr(value, name), c)
+    return value
+
+
+def _apply(fn, node: ast.Call):
+    # a **mapping argument has the key None, which the call refuses
+    return fn(*[_value(a) for a in node.args], **{k.arg: _value(k.value) for k in node.keywords})
 
 
 def parse_builder_source(text: str) -> CoroutineDef:
-    """Evaluate printed builder calls back into a CoroutineDef.
+    """Read printed builder calls back into a CoroutineDef without running them.
 
-    Text that is not builder calls raises DslError: a syntax error
-    names its line:col, and a call to anything but a builder or one of
-    its methods names what was called.
+    The text is one expression: calls of builders by name, calls of
+    public methods of builder objects on their results, positional and
+    ``name=value`` arguments, and str, int and bool literals.  Builder
+    signatures check arity.  Other text raises DslError, with line:col
+    for a syntax error or an expression of any other kind.
     """
     try:
-        cdef = eval(text, {"__builtins__": {}}, dict(_BUILDER_NAMESPACE))
+        cdef = _value(ast.parse(text, mode="eval").body)
     except SyntaxError as e:
         raise DslError(f"builder source {e.lineno}:{e.offset}: {e.msg}") from None
-    except (NameError, AttributeError, TypeError) as e:
+    except (TypeError, RecursionError) as e:
         raise DslError(f"builder source: {e}") from None
     if not isinstance(cdef, CoroutineDef):
         raise DslError("builder source did not produce a coroutine definition")

@@ -17,7 +17,6 @@ import contextlib
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 __all__ = [
-    "prefetch",
     "set_prefetch_hook",
     "prefetch_hook",
     "fmix32",
@@ -33,12 +32,6 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 _hook: Callable[[Any], None] | None = None
 mark: Callable[[Any], Any] = callable
-
-
-def prefetch(addr: Any) -> None:
-    """Announce that ``addr`` is about to be dereferenced."""
-    if _hook is not None:
-        _hook(addr)
 
 
 def set_prefetch_hook(hook: Callable[[Any], None] | None) -> None:

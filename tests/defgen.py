@@ -280,3 +280,11 @@ def count_tree_yields(node) -> int:
             return int(yb)
         case _:
             return 0
+
+
+def declaration_chain(n: int) -> CoroutineDef:
+    """A valid definition declaring ``n`` variables: a long method chain."""
+    b = coroutine("k")
+    for i in range(n):
+        b.variable("int", f"v{i}", str(i))
+    return b.body(return_())

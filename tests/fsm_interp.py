@@ -14,7 +14,8 @@ import builtins
 import textwrap
 
 from coroweave.lowering import Fsm
-from coroweave.runtime import fmix32, fmix64, prefetch
+from coroweave import runtime
+from coroweave.runtime import fmix32, fmix64
 
 
 def run_fsm(fsm: Fsm, args: dict, shared: dict | None = None,
@@ -26,7 +27,7 @@ def run_fsm(fsm: Fsm, args: dict, shared: dict | None = None,
     ``step_cap`` bounds the number of blocks entered.
     """
     ns = {"__builtins__": builtins, "fmix32": fmix32, "fmix64": fmix64,
-          "prefetch": prefetch, **(shared or {}), **args}
+          **(shared or {}), **args}
     result = None
     suspensions = 0
     b = fsm.state_entry[0]
@@ -39,7 +40,7 @@ def run_fsm(fsm: Fsm, args: dict, shared: dict | None = None,
                 case ("assign", dst, expr) | ("store", dst, expr):
                     exec(f"{dst} = {expr}", ns)
                 case ("prefetch", expr):
-                    prefetch(eval(expr, ns))
+                    runtime.mark(eval(expr, ns))
                 case ("result", expr):
                     result = eval(expr, ns)
                 case _:

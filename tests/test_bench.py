@@ -25,6 +25,7 @@ from coroweave.bench import (
 from coroweave.cli import main
 from coroweave.kernels import KERNELS
 from coroweave.kernels.defs import binary_search_def
+from defgen import declaration_chain
 
 SMALL = dict(queries=240, elements=192, width=6)
 
@@ -215,6 +216,15 @@ class TestCli:
         )
         assert rc == 0
 
+    def test_bench_policy_all_runs_what_one_kernel_admits(self, capsys):
+        rc = main(
+            ["bench", "--kernel", "bs", "--policy", "all", "--queries", "240",
+             "--elements", "192", "--width", "6"]
+        )
+        assert rc == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [r["policy"] for r in rows] == ["-", "simplest", "push_pull"]
+
     def test_bench_rejects_lockstep_on_branchy_kernel(self, capsys):
         rc = main(["bench", "--kernel", "bt", "--policy", "static"])
         assert rc == 2
@@ -291,6 +301,17 @@ class TestCli:
             ("arity.py", "coroutine()\n", "coroweave: builder source: "),
             ("hint.py", "coroutine('k').body(yield_('bogus'))\n",
              "coroweave: yield hint 'bogus' is not one of 'default', 'static', 'dynamic'"),
+            ("binop.py", "coroutine('k' + 'x').body()", "coroweave: builder source 1:11: "),
+            ("dunder.py", "coroutine(().__class__.__name__).body()",
+             "coroweave: builder source 1:11: "),
+            ("subscript.py", "[coroutine('k')][0].body()", "coroweave: builder source 1:1: "),
+            ("attribute.py", "coroutine('k')._add.__self__.body()",
+             "coroweave: builder source 1:1: "),
+            ("starred.py", "coroutine('k').body(*[opaque('x = 1')])",
+             "coroweave: builder source 1:21: "),
+            ("ifexp.py", "coroutine('k').body() if 1 else 0", "coroweave: builder source 1:1: "),
+            # ast construction runs out of depth on a long method chain
+            ("deep.py", to_builder_source(declaration_chain(2000)), "coroweave: builder source: "),
         ]:
             src = tmp_path / name
             src.write_text(text)

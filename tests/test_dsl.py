@@ -323,6 +323,10 @@ class TestPrinter:
         assert validate(d) == []
         assert parse_builder_source(to_builder_source(d)) == d
 
+    def test_round_trip_long_declaration_chain(self):
+        d = defgen.declaration_chain(1200)
+        assert parse_builder_source(to_builder_source(d)) == d
+
     def test_parse_rejects_non_definition(self):
         with pytest.raises(DslError, match="did not produce a coroutine definition"):
             parse_builder_source("block()")

@@ -9,7 +9,6 @@ from coroweave.runtime import (
     StepCoroutine,
     fmix32,
     fmix64,
-    prefetch,
     prefetch_hook,
     set_prefetch_hook,
 )
@@ -100,28 +99,29 @@ def test_results_stay_in_range():
 
 class TestPrefetchHook:
     def test_noop_by_default(self):
-        assert prefetch(object()) is None
+        assert runtime.mark is callable
+        runtime.mark(object())
 
     def test_hook_sees_addresses(self):
         seen = []
         set_prefetch_hook(seen.append)
         try:
-            prefetch(41)
-            prefetch("p")
+            runtime.mark(41)
+            runtime.mark("p")
         finally:
             set_prefetch_hook(None)
         assert seen == [41, "p"]
-        prefetch(999)
+        runtime.mark(999)
         assert seen == [41, "p"]
 
     def test_context_manager_restores_previous(self):
         outer, inner = [], []
         with prefetch_hook(outer.append):
-            prefetch(1)
+            runtime.mark(1)
             with prefetch_hook(inner.append):
-                prefetch(2)
-            prefetch(3)
-        prefetch(4)
+                runtime.mark(2)
+            runtime.mark(3)
+        runtime.mark(4)
         assert outer == [1, 3]
         assert inner == [2]
 
