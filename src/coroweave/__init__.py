@@ -45,7 +45,6 @@ from .lowering import (  # noqa: F401
     split_stages,
     static_prefix_len,
     straight_line_error,
-    strip_yields,
 )
 from .codegen import (  # noqa: F401
     CodegenError,

@@ -2,8 +2,9 @@
 
 Four emitters, in two families:
 
-* ``emit_routine``: the plain sequential function (suspension points
-  stripped), used as the ground-truth twin of every generated unit.
+* ``emit_routine``: the plain sequential function, printed from the
+  definition's own tree without suspension points or marks, used as
+  the ground-truth twin of every generated unit.
 * ``emit_dynamic``: a resumable per-task class driven through
   ``step()``; any control flow is allowed because the body runs as a
   Python generator, which keeps its own resume point and locals.
@@ -40,7 +41,7 @@ from typing import Any
 
 from . import __version__, dsl
 from .dsl import CoroutineDef, DeclKind
-from .lowering import analyse, split_stages, strip_yields
+from .lowering import analyse
 
 __all__ = [
     "CodegenError",
@@ -218,7 +219,7 @@ def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
     """
     if width < 1:
         raise CodegenError(f"{cdef.name}: width must be >= 1, got {width}")
-    split_stages(cdef)
+    _check_valid(cdef)
     err = analyse(cdef).straight_line_error
     if err is not None:
         raise CodegenError(f"{cdef.name}: {err}")
@@ -237,7 +238,7 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
     """
     if width < 1:
         raise CodegenError(f"{cdef.name}: width must be >= 1, got {width}")
-    split_stages(cdef)
+    _check_valid(cdef)
     prefix = analyse(cdef).static_prefix_len
     if prefix < 1:
         raise CodegenError(
@@ -261,7 +262,7 @@ def _check_valid(cdef: CoroutineDef) -> None:
 
 
 def emit_routine(cdef: CoroutineDef) -> SourceText:
-    """The sequential twin as a plain function (suspensions stripped)."""
+    """The sequential twin as a plain function, without suspension points or marks."""
     _check_valid(cdef)
     params = [
         d.name for d in cdef.decls if d.kind in (DeclKind.ARG, DeclKind.SHARED_ARG)
@@ -270,7 +271,7 @@ def emit_routine(cdef: CoroutineDef) -> SourceText:
     w.put(f"def {cdef.name}({', '.join(params)}):")
     with w.indent():
         w.put(f'"""Sequential form of the {cdef.name!r} coroutine def."""')
-        _RoutineEmitter(w, cdef).body(strip_yields(cdef).body)
+        _RoutineEmitter(w, cdef).body(cdef.body)
     return SourceText(cdef.name, _header(cdef.name), w.text())
 
 
@@ -320,14 +321,18 @@ class _RoutineEmitter:
     inside nested Python loops it sets ``_rs`` and breaks out level by
     level.  Bodies without a ``call`` get neither the loop nor the flag.
 
-    Suspension points (absent from a stripped routine) print as
-    ``yield False``; with ``cell`` set, a valued return stores into it.
+    Only a lane, which has a result ``cell``, suspends: each suspension
+    point prints as ``yield False``, and a valued return stores into
+    ``cell``.  The routine (no ``cell``) leaves out yields, prefetch
+    marks and the ``_addr``/``_cond`` lines of a ``yield_before`` load,
+    store or if.
     """
 
     def __init__(self, w: _W, cdef: CoroutineDef, cell: str | None = None) -> None:
         self.w = w
         self.cdef = cdef
         self.cell = cell
+        self.lane = cell is not None
         self.counter = 0
         self.loops = 0
         self.yields = 0
@@ -347,7 +352,10 @@ class _RoutineEmitter:
         with w.indent():
             self.var_inits()
             self.suite(blk, None, None)
-            if not isinstance(blk.stmts[-1], (dsl.Return, dsl.Call)):
+            # the routine prints no yield or prefetch, so one after the last return does not count
+            printed = [s for s in blk.stmts
+                       if self.lane or not isinstance(s, (dsl.Yield, dsl.Prefetch))]
+            if not isinstance(printed[-1], (dsl.Return, dsl.Call)):
                 w.put("return")
 
     def var_inits(self) -> None:
@@ -397,25 +405,27 @@ class _RoutineEmitter:
             case dsl.Assign(dst=dst, value=value):
                 w.put(f"{dst} = {value}")
             case dsl.Load(dst=dst, addr=addr, yield_before=yb):
-                if yb:
+                if yb and self.lane:
                     w.put(f"_addr = {addr}")
                     w.put("_rt.mark(_addr)")
                     self.suspend()
                     addr = "_addr"
                 w.put(f"{dst} = {addr}")
             case dsl.Store(addr=addr, value=value, yield_before=yb):
-                if yb:
+                if yb and self.lane:
                     w.put(f"_addr = {value}")
                     self.suspend()
                     value = "_addr"
                 w.put(f"{addr} = {value}")
+            case dsl.Yield() | dsl.Prefetch() if not self.lane:
+                pass
             case dsl.Prefetch(addrs=addrs):
                 for a in addrs:
                     w.put(f"_rt.mark({a})")
             case dsl.Yield():
                 self.suspend()
             case dsl.Return(value=value):
-                if value is not None and self.cell is not None:
+                if value is not None and self.lane:
                     w.put(f"{self.cell} = {value}")
                     value = None
                 w.put(f"return {value}")
@@ -428,7 +438,7 @@ class _RoutineEmitter:
             case dsl.Block():
                 self.suite(s, brk, cont)
             case dsl.If(cond=cond, then=then, orelse=orelse, yield_before=yb):
-                if yb:
+                if yb and self.lane:
                     w.put(f"_cond = {cond}")
                     self.suspend()
                     cond = "_cond"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import enum
+import io
 import keyword
 from dataclasses import dataclass, field, fields
 
@@ -516,6 +517,9 @@ class CoroutineBuilder:
 
     def __init__(self, name: str) -> None:
         self._name = _check_user_ident(name, "coroutine name")
+        if name in ("fmix32", "fmix64"):
+            # the routine's def would hide the hash that generated code imports
+            raise DslError(f"coroutine name {name!r} is reserved: generated code imports it")
         self._decls: list[Decl] = []
 
     def _add(self, decl: Decl) -> CoroutineBuilder:
@@ -752,7 +756,7 @@ def to_builder_source(cdef: CoroutineDef) -> str:
     return "\n".join(lines) + ")\n"
 
 
-def _value(node: ast.expr):
+def _value(node: ast.expr, lines: list[str]):
     # A method chain is unwound in a loop, so a long declaration chain
     # costs no recursion; only arguments nest, as deep as the tokenizer
     # lets parentheses nest.
@@ -764,22 +768,24 @@ def _value(node: ast.expr):
         node = node.func.value
     if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Name):
         bad = node.func if isinstance(node, ast.Call) else node
-        # columns count UTF-8 bytes, so they are characters on ASCII lines
-        raise DslError(f"builder source {bad.lineno}:{bad.col_offset + 1}: {type(bad).__name__} is not allowed")
+        # ast columns count UTF-8 bytes; report characters, as a syntax error does
+        col = len(lines[bad.lineno - 1].encode()[:bad.col_offset].decode()) + 1
+        raise DslError(f"builder source {bad.lineno}:{col}: {type(bad).__name__} is not allowed")
     if node.func.id not in _BUILDER_NAMES:
         raise DslError(f"builder source: name {node.func.id!r} is not defined")
-    value = _apply(_BUILDER_NAMES[node.func.id], node)
+    value = _apply(_BUILDER_NAMES[node.func.id], node, lines)
     for c in reversed(chain):
         name = c.func.attr
         if not isinstance(value, _BUILDER_OBJECTS) or name.startswith("_") or not hasattr(value, name):
             raise DslError(f"builder source: {type(value).__name__!r} object has no builder method {name!r}")
-        value = _apply(getattr(value, name), c)
+        value = _apply(getattr(value, name), c, lines)
     return value
 
 
-def _apply(fn, node: ast.Call):
+def _apply(fn, node: ast.Call, lines: list[str]):
     # a **mapping argument has the key None, which the call refuses
-    return fn(*[_value(a) for a in node.args], **{k.arg: _value(k.value) for k in node.keywords})
+    return fn(*[_value(a, lines) for a in node.args],
+              **{k.arg: _value(k.value, lines) for k in node.keywords})
 
 
 def parse_builder_source(text: str) -> CoroutineDef:
@@ -791,8 +797,10 @@ def parse_builder_source(text: str) -> CoroutineDef:
     signatures check arity.  Other text raises DslError, with line:col
     for a syntax error or an expression of any other kind.
     """
+    # the lines as ast numbers them: \r, \n and \r\n end a line
+    lines = io.StringIO(text, newline=None).readlines()
     try:
-        cdef = _value(ast.parse(text, mode="eval").body)
+        cdef = _value(ast.parse(text, mode="eval").body, lines)
     except SyntaxError as e:
         raise DslError(f"builder source {e.lineno}:{e.offset}: {e.msg}") from None
     except (TypeError, RecursionError) as e:

@@ -10,10 +10,8 @@ emitters print generators instead; here the stage graph decides which
 schedules a definition qualifies for (``straight_line_error``,
 ``static_prefix_len``) and is what ``fsm_dump`` prints.  ``analyse``
 does all of this once per definition object and keeps the record on it.
-
-``strip_yields`` produces the sequential twin of a definition (all
-suspension points and prefetches removed); it is the baseline that
-interleaved execution is checked against.
+The sequential routine needs no lowering: ``codegen.emit_routine``
+prints the definition's own tree and leaves its suspension points out.
 """
 
 from __future__ import annotations
@@ -30,18 +28,13 @@ __all__ = [
     "Stage",
     "Fsm",
     "ContextSpec",
-    "INTERNAL_FIELDS",
     "analyse",
     "split_stages",
     "compute_context",
-    "strip_yields",
     "fsm_dump",
     "straight_line_error",
     "static_prefix_len",
 ]
-
-# Internal context fields, in their canonical layout order.
-INTERNAL_FIELDS = ("_state", "_result", "_cond", "_addr")
 
 
 class LoweringError(ValueError):
@@ -104,8 +97,10 @@ class ContextSpec:
 
     Everything declared is kept (no liveness pruning); shared args are
     segregated because they are stored once per scheduler, not per
-    task.  ``internal`` is the subset of INTERNAL_FIELDS this
-    definition needs.
+    task.  ``internal`` lists, in this order, the bookkeeping fields the
+    record adds: ``_state`` (the resume point), ``_result``, and
+    ``_cond``/``_addr`` (operands held across a suspension);
+    ``compute_context`` decides which this definition needs.
     """
 
     args: tuple[Decl, ...]
@@ -426,14 +421,7 @@ def compute_context(cdef: CoroutineDef, fsm: Fsm) -> ContextSpec:
     """
     variables = list(cdef.variables)
     _collect_block_vars(cdef.body, variables)
-    needs_cond = False
-    needs_addr = False
-    for b in fsm.blocks:
-        for op in b.ops:
-            if op[0] == "assign" and op[1] == "_cond":
-                needs_cond = True
-            if op[0] == "assign" and op[1] == "_addr":
-                needs_addr = True
+    assigned = {op[1] for b in fsm.blocks for op in b.ops if op[0] == "assign"}
     internal = []
     if fsm.suspension_count > 0 and any(
         h in (YieldHint.DEFAULT, YieldHint.DYNAMIC) for h in fsm.state_hints
@@ -441,10 +429,7 @@ def compute_context(cdef: CoroutineDef, fsm: Fsm) -> ContextSpec:
         internal.append("_state")
     if cdef.result_decl is not None:
         internal.append("_result")
-    if needs_cond:
-        internal.append("_cond")
-    if needs_addr:
-        internal.append("_addr")
+    internal += [f for f in ("_cond", "_addr") if f in assigned]
     return ContextSpec(
         args=cdef.args,
         shared_args=cdef.shared_args,
@@ -470,52 +455,6 @@ def _collect_block_vars(blk: dsl.Block, out: list[Decl]) -> None:
                     _collect_block_vars(default, out)
             case dsl.While(body=body) | dsl.DoWhile(body=body):
                 _collect_block_vars(body, out)
-
-
-def strip_yields(cdef: CoroutineDef) -> CoroutineDef:
-    """Sequential twin: drop suspension points and prefetches.
-
-    Yield and Prefetch statements are removed and every
-    suspend-before-use flag is cleared; marked memory ops keep their
-    nodes (they already execute as plain assignments).  A definition
-    with no suspension points comes back structurally identical.
-    """
-    return CoroutineDef(cdef.name, cdef.decls, _strip_block(cdef.body))
-
-
-def _strip_block(blk: dsl.Block) -> dsl.Block:
-    out = []
-    for s in blk.stmts:
-        match s:
-            case dsl.Yield() | dsl.Prefetch():
-                continue
-            case dsl.Block():
-                out.append(_strip_block(s))
-            case dsl.If(cond=cond, then=then, orelse=orelse):
-                out.append(
-                    dsl.If(cond, _strip_block(then),
-                           _strip_block(orelse) if orelse is not None else None,
-                           yield_before=False)
-                )
-            case dsl.Switch(scrutinee=scrutinee, cases=cases, default=default):
-                out.append(
-                    dsl.Switch(
-                        scrutinee,
-                        tuple((c, _strip_block(b)) for c, b in cases),
-                        _strip_block(default) if default is not None else None,
-                    )
-                )
-            case dsl.While(cond=cond, body=body):
-                out.append(dsl.While(cond, _strip_block(body)))
-            case dsl.DoWhile(body=body, cond=cond):
-                out.append(dsl.DoWhile(_strip_block(body), cond))
-            case dsl.Load(dst=dst, addr=addr):
-                out.append(dsl.Load(dst, addr, yield_before=False))
-            case dsl.Store(addr=addr, value=value):
-                out.append(dsl.Store(addr, value, yield_before=False))
-            case _:
-                out.append(s)
-    return dsl.Block(tuple(out), blk.decls)
 
 
 def fsm_dump(fsm: Fsm) -> str:

@@ -310,6 +310,9 @@ class TestCli:
             ("starred.py", "coroutine('k').body(*[opaque('x = 1')])",
              "coroweave: builder source 1:21: "),
             ("ifexp.py", "coroutine('k').body() if 1 else 0", "coroweave: builder source 1:1: "),
+            # columns count characters, not UTF-8 bytes
+            ("utf8.py", "coroutine('\u00e9' 'k').body(x)", "coroweave: builder source 1:25: "),
+            ("fmix.py", "coroutine('fmix64').body()", "coroweave: coroutine name 'fmix64' is reserved"),
             # ast construction runs out of depth on a long method chain
             ("deep.py", to_builder_source(declaration_chain(2000)), "coroweave: builder source: "),
         ]:

@@ -90,6 +90,12 @@ class TestBuilders:
         with pytest.raises(DslError, match="reserved leading underscore"):
             coroutine("k").variable("int", "_state")
 
+    @pytest.mark.parametrize("name", ["fmix32", "fmix64"])
+    def test_imported_hash_names_reserved(self, name):
+        # the routine's def of this name would hide the hash its body calls
+        with pytest.raises(DslError, match=f"coroutine name '{name}' is reserved"):
+            coroutine(name)
+
     def test_empty_expression_text(self):
         with pytest.raises(DslError):
             assign("x", "   ")

@@ -1,5 +1,7 @@
 """State splitting, context computation, and the sequential twin."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 
@@ -14,7 +16,6 @@ from coroweave import (
     split_stages,
     static_prefix_len,
     straight_line_error,
-    strip_yields,
 )
 from coroweave.dsl import (
     YieldHint,
@@ -24,7 +25,6 @@ from coroweave.dsl import (
     coroutine,
     if_,
     load,
-    prefetch,
     return_,
     store,
     switch_,
@@ -33,7 +33,6 @@ from coroweave.dsl import (
 )
 from coroweave.kernels import KERNELS
 from coroweave.kernels.defs import hashtable_find_def
-from coroweave.lowering import INTERNAL_FIELDS
 from fsm_interp import run_fsm
 
 # One dump line per resume state: op count and successor states.  These
@@ -72,10 +71,6 @@ def test_kernel_context_golden(name):
     assert tuple(x.name for x in ctx.shared_args) == tuple(
         x.name for x in d.shared_args
     )
-
-
-def test_internal_field_order():
-    assert INTERNAL_FIELDS == ("_state", "_result", "_cond", "_addr")
 
 
 class TestSplitStages:
@@ -279,42 +274,14 @@ class TestComputeContext:
         assert "t" in ctx.field_names()
 
 
-class TestStripYields:
-    def test_kernels_strip_to_zero_suspensions(self):
-        for kernel in KERNELS.values():
-            plain = strip_yields(kernel.build_def())
-            assert split_stages(plain).suspension_count == 0
-
-    def test_idempotent(self):
-        for kernel in KERNELS.values():
-            once = strip_yields(kernel.build_def())
-            assert strip_yields(once) == once
-
-    def test_fixpoint_on_yield_free_definition(self):
-        d = coroutine("k").result("int").arg("int", "x").body(
-            assign("x", "x + 1"),
-            return_("x"),
-        )
-        assert strip_yields(d) == d
-
-    def test_memory_ops_survive_with_flags_cleared(self):
-        d = coroutine("k").arg("object", "p").variable("object", "v").body(
-            load("v", "p.next", yield_before=True),
-            store("p.val", "v", yield_before=True),
-            prefetch("p"),
-            yield_(),
-        )
-        plain = strip_yields(d)
-        kinds = [type(s).__name__ for s in plain.body.stmts]
-        assert kinds == ["Load", "Store"]
-        assert all(not s.yield_before for s in plain.body.stmts)
-
+class TestSequentialTwin:
     @settings(max_examples=40, deadline=None)
     @given(defgen.coroutine_defs())
-    def test_strip_is_idempotent_everywhere(self, d):
-        once = strip_yields(d)
-        assert strip_yields(once) == once
-        assert split_stages(once).suspension_count == 0
+    def test_routine_has_no_suspension_point_or_mark(self, d):
+        src = emit_routine(d)
+        assert not inspect.isgeneratorfunction(load_unit(src))
+        assert "yield" not in src.text
+        assert "_rt.mark(" not in src.text
 
 
 class TestSchedulability:
