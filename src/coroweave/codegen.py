@@ -17,12 +17,13 @@ Four emitters, in two families:
 
 All four print the definition's structured control flow through one
 statement emitter.  The dynamic, static and hybrid units run it as
-one lane generator, ``_run(args, _out, _i)``, whose result lands in
-``_out[_i]``: one per task, or one per lane, advanced in lockstep or
-one lane at a time.  A class prints only the dynamic ``__init__``, or a
-batch class's constants and ``init``; the rest is ``runtime.DynamicUnit``
-or ``runtime.BatchUnit``.  Marked loads call ``runtime.mark``, which
-costs no Python frame without a prefetch hook.  Every emitter reads the
+one lane generator, ``_run(_t, _out, _i)``, which unpacks the task
+tuple ``_t`` and stores its result in ``_out[_i]``: one per task, or
+one per lane, advanced in lockstep or one lane at a time.  A unit
+prints only that generator; ``runtime.unit`` builds the class on
+``runtime.DynamicUnit`` or ``runtime.BatchUnit``, with a batch unit's
+constants.  Marked loads call ``runtime.mark``, which costs no Python
+frame without a prefetch hook.  Every emitter reads the
 definition's analysis record (``lowering.analyse``), once per object.
 
 Every emitter returns a :class:`SourceText` whose ``entry`` names a
@@ -124,40 +125,30 @@ def load_unit(src: SourceText) -> Any:
 # -- shared emission helpers
 
 
-def _emit_run(w: _W, cdef: CoroutineDef) -> None:
-    """Print the body once, as the lane generator ``_run(args, _out, _i)``.
+def _emit_unit(cdef: CoroutineDef, factory: str, base: str, cls: str, consts: str = "") -> SourceText:
+    """Print ``factory(shared...)``: the lane ``_run``, then ``runtime.unit`` makes ``cls``.
 
-    Every suspension point yields False, and a valued return stores
-    into ``_out[_i]``, so the generator holds no reference back to the
-    unit or scheduler that drives it.
-    """
-    params = [d.name for d in cdef.args] + ["_out", "_i"]
-    w.put(f"def _run({', '.join(params)}):")
-    with w.indent():
-        em = _RoutineEmitter(w, cdef, cell="_out[_i]")
-        em.body(cdef.body)
-        if not em.yields:
-            # Without a suspension point the body would be a plain
-            # function; this keeps it a generator and yields nothing.
-            w.put("yield from ()")
-
-
-def _emit_unit(cdef: CoroutineDef, factory: str, cls: str, *chunks: str) -> SourceText:
-    """Print ``factory(shared...)``, which defines the lane ``_run`` and returns ``cls``.
-
-    The class body is ``chunks``, flush-left text, one blank line apart.
+    The body is printed once, as the lane generator ``_run(_t, _out,
+    _i)``, whose first line unpacks the task tuple ``_t`` into the args.
+    Every suspension point yields False, and a valued return stores into
+    ``_out[_i]``, so the generator holds no reference back to the unit
+    or scheduler that drives it.  ``consts`` is the text of the class
+    constants, as keyword arguments.
     """
     w = _W()
     w.put(f"def {factory}({', '.join(d.name for d in cdef.shared_args)}):")
     with w.indent():
-        _emit_run(w, cdef)
-        w.put()
-        w.put(f"class {cls}:")
+        w.put("def _run(_t, _out, _i):")
         with w.indent():
-            for line in "\n\n".join(chunks).split("\n"):
-                w.put(line)
-        w.put()
-        w.put(f"return {cls.partition('(')[0]}")
+            # even with no args, so that a task of the wrong arity raises
+            w.put(f"{''.join(d.name + ', ' for d in cdef.args) or '() '}= _t")
+            em = _RoutineEmitter(w, cdef, cell="_out[_i]")
+            em.body(cdef.body)
+            if not em.yields:
+                # Without a suspension point the body would be a plain
+                # function; this keeps it a generator and yields nothing.
+                w.put("yield from ()")
+        w.put(f"return _rt.unit(_rt.{base}, {cls!r}, _run{consts})")
     return SourceText(factory, _header(cdef.name), w.text())
 
 
@@ -168,46 +159,14 @@ def emit_dynamic(cdef: CoroutineDef) -> SourceText:
     """Resumable per-task unit: ``make_<name>(shared...)`` -> class.
 
     The body is printed once, as the lane generator ``_run``, exposed on
-    the class as ``lane`` for ``interleave_map``.  Instances take
-    ``step()`` and the rest from ``runtime.DynamicUnit``; ``reset()``
-    rebuilds the lane from the stored args, which the body never mutates.
+    the class as ``lane`` for ``interleave_map``.  Instances take their
+    constructor, ``step()`` and the rest from ``runtime.DynamicUnit``.
     """
     _check_valid(cdef)
-    args = [d.name for d in cdef.args]
-    return _emit_unit(
-        cdef, f"make_{cdef.name}", f"CoroutineState_{cdef.name}(_rt.DynamicUnit)",
-        f'"""{cdef.name}: one lane generator per task, advanced by step()."""',
-        "__slots__ = ()\nlane = _run",
-        f"def __init__(self{''.join(', ' + a for a in args)}):\n"
-        f"    self._args = ({', '.join(args)}{',' if len(args) == 1 else ''})\n"
-        "    self._out = _out = [None]\n"
-        f"    self._gen = _run({''.join(a + ', ' for a in args)}_out, 0)",
-    )
+    return _emit_unit(cdef, f"make_{cdef.name}", "DynamicUnit", f"CoroutineState_{cdef.name}")
 
 
 # -- static and hybrid (one generator per lane)
-
-
-def _emit_lanes(cdef: CoroutineDef, width: int, factory: str, cls: str, doc: str,
-                consts: str = "") -> SourceText:
-    """A ``runtime.BatchUnit`` subclass for up to ``width`` lanes, one ``_run`` per task.
-
-    The class prints only its constants, ``_WIDTH`` then ``consts``, and
-    ``init(tasks)``, which builds one lane generator per task tuple; a
-    lane's valued return stores into its cell of ``_result``.
-    """
-    args = [d.name for d in cdef.args]
-    # a lane unpacks its task tuple positionally
-    target = f"({', '.join(args)}{',' if len(args) == 1 else ''})"
-    return _emit_unit(
-        cdef, factory, f"{cls}(_rt.BatchUnit)",
-        f'"""{cdef.name} across up to {width} {doc}"""',
-        "__slots__ = ()",
-        f"_WIDTH = {width}{consts}",
-        "def init(self, tasks):\n    self._result = _out = [None] * len(tasks)\n"
-        f"    self._gens = [_run({''.join(a + ', ' for a in args)}_out, _i)"
-        f" for _i, {target} in enumerate(tasks)]",
-    )
 
 
 def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
@@ -223,10 +182,8 @@ def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
     err = analyse(cdef).straight_line_error
     if err is not None:
         raise CodegenError(f"{cdef.name}: {err}")
-    return _emit_lanes(
-        cdef, width, f"make_{cdef.name}_{width}", f"CoroutineState_{cdef.name}_{width}",
-        "lockstep lanes.",
-    )
+    return _emit_unit(cdef, f"make_{cdef.name}_{width}", "BatchUnit",
+                      f"CoroutineState_{cdef.name}_{width}", f", _WIDTH={width}")
 
 
 def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
@@ -245,11 +202,8 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
             f"{cdef.name}: no statically scheduled stage prefix; hint the"
             " leading yields as static, or use the dynamic unit"
         )
-    return _emit_lanes(
-        cdef, width, f"make_hybrid_{cdef.name}_{width}", f"CoroutineHybrid_{cdef.name}_{width}",
-        f"lanes: {prefix} lockstep stage(s), then per-lane stepping.",
-        f"\n_PREFIX = {prefix}",
-    )
+    return _emit_unit(cdef, f"make_hybrid_{cdef.name}_{width}", "BatchUnit",
+                      f"CoroutineHybrid_{cdef.name}_{width}", f", _WIDTH={width}, _PREFIX={prefix}")
 
 
 # -- plain sequential routine and the shared statement emitter

@@ -15,6 +15,7 @@ all of them at once.
 from __future__ import annotations
 
 import ast
+import builtins
 import enum
 import io
 import keyword
@@ -83,7 +84,7 @@ def _check_user_ident(name: str, what: str) -> str:
     if not isinstance(name, str) or not name.isidentifier() or keyword.iskeyword(name):
         raise DslError(f"{what} {name!r} is not a valid identifier")
     if name.startswith("_"):
-        # Reserved for generated names: _run, _rt, _out, _i, _addr, _cond,
+        # Reserved for generated names: _run, _rt, _t, _out, _i, _addr, _cond,
         # _rs and the numbered _sw, _once, _brk, _cont and _ca temporaries.
         raise DslError(f"{what} {name!r} uses the reserved leading underscore")
     return name
@@ -517,9 +518,9 @@ class CoroutineBuilder:
 
     def __init__(self, name: str) -> None:
         self._name = _check_user_ident(name, "coroutine name")
-        if name in ("fmix32", "fmix64"):
-            # the routine's def would hide the hash that generated code imports
-            raise DslError(f"coroutine name {name!r} is reserved: generated code imports it")
+        if name in ("fmix32", "fmix64") or name in vars(builtins):
+            # the routine's def would hide the imported hash or builtin from its own body
+            raise DslError(f"coroutine name {name!r} is reserved: a generated body may call it")
         self._decls: list[Decl] = []
 
     def _add(self, decl: Decl) -> CoroutineBuilder:

@@ -7,8 +7,8 @@ A hook installed by tests or tracers becomes ``mark`` and sees the
 address stream (e.g. to check that every pointer is announced before
 it is read), also from units loaded before it was installed.
 
-``DynamicUnit`` and ``BatchUnit`` hold every method that a generated
-class does not print: a class prints only how it builds its lanes.
+A generated unit prints only its lane generator; ``unit`` builds its
+class on ``DynamicUnit`` or ``BatchUnit``, which hold every method.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ __all__ = [
     "BatchCoroutine",
     "DynamicUnit",
     "BatchUnit",
+    "unit",
 ]
 
 _MASK32 = 0xFFFFFFFF
@@ -97,7 +98,8 @@ class BatchCoroutine(Protocol):
     """Contract of generated batch coroutines.
 
     ``init(tasks)`` takes one arg tuple per task, at most the unit's
-    ``_WIDTH`` of them, and builds one lane per task;
+    ``_WIDTH`` of them, and builds one lane per task, which unpacks it
+    when first advanced;
     ``super_step()`` advances every lane by one stage and returns True
     when all lanes are finished; ``fini(out)`` writes one result per
     lane into the head of ``out``.
@@ -111,9 +113,14 @@ class BatchCoroutine(Protocol):
 
 
 class DynamicUnit:
-    """``StepCoroutine`` over ``_gen``, the lane of ``_args`` into ``_out[0]``."""
+    """``StepCoroutine`` over ``_gen``, the class's ``lane`` of ``_args`` into ``_out[0]``."""
 
     __slots__ = ("_args", "_gen", "_out")
+
+    def __init__(self, *args: Any) -> None:
+        self._args = args
+        self._out = out = [None]
+        self._gen = type(self).lane(args, out, 0)
 
     def step(self) -> bool:
         return next(self._gen, True)
@@ -122,20 +129,26 @@ class DynamicUnit:
         return self._gen.gi_frame is None
 
     def reset(self) -> None:
-        self.__init__(*self._args)
+        self._out = out = [None]
+        self._gen = type(self).lane(self._args, out, 0)
 
     def result(self) -> Any:
         return self._out[0]
 
 
 class BatchUnit:
-    """``BatchCoroutine`` over the lanes a generated ``init`` builds; a hybrid sets ``_PREFIX``."""
+    """``BatchCoroutine`` over one ``lane`` per task; a hybrid also sets ``_PREFIX``."""
 
     __slots__ = ("_gens", "_result")
 
     def __init__(self) -> None:
         self._gens = ()
         self._result = []
+
+    def init(self, tasks: Sequence[tuple]) -> None:
+        self._result = out = [None] * len(tasks)
+        lane = type(self).lane
+        self._gens = [lane(t, out, i) for i, t in enumerate(tasks)]
 
     def super_step(self) -> bool:
         done = True
@@ -154,3 +167,9 @@ class BatchUnit:
 
     def fini(self, out: list) -> None:
         out[:len(self._result)] = self._result
+
+
+def unit(base: type, name: str, lane: Callable, **consts: Any) -> type:
+    """The generated class ``name``: ``base`` over ``lane(task, out, i)``, plus ``consts``."""
+    attrs = {"__slots__": (), "__module__": lane.__module__, "lane": lane}
+    return type(name, (base,), {**attrs, **consts})

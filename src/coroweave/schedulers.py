@@ -191,21 +191,21 @@ def interleave_map(
     """Map ``factory(*task)`` over ``tasks`` with interleaved stepping.
 
     Sweeps up to ``width`` lanes as ``run_push_pull`` sweeps instances.
-    A generated class's ``lane`` is built as ``lane(*task, results,
+    A generated class's ``lane`` is built as ``lane(task, results,
     index)``, straight into the task-ordered results; other factories
-    are stepped through their instances.  A task's exception is
-    re-raised as ``TaskError``.
+    are stepped through their instances.  A task's exception, a wrong
+    arity included, is re-raised as ``TaskError``.
     """
     results: list[Any] = [None] * len(tasks)
     # only the class defining ``lane`` runs it; a subclass may override its results
     lane = getattr(factory, "__dict__", {}).get("lane")
     if lane is None:
 
-        def lane(*a):  # (*task, out, index), over the factory's instance
-            inst = factory(*a[:-2])
+        def lane(task, out, i):  # over the factory's instance
+            inst = factory(*task)
             while not inst.step():
                 yield False
-            a[-2][a[-1]] = inst.result()
+            out[i] = inst.result()
 
     pending = enumerate(tasks)
     gens: list[Any] = []
@@ -214,14 +214,14 @@ def interleave_map(
     try:
         for j, (t, args) in zip(slot, pending):
             task.append(t)
-            gens.append(lane(*args, results, t))
+            gens.append(lane(args, results, t))
         while gens:
             gone = []
             for j, g in enumerate(gens):
                 if next(g, True):
                     for t, args in pending:  # takes at most one task
                         task[j] = t
-                        gens[j] = lane(*args, results, t)
+                        gens[j] = lane(args, results, t)
                         break
                     else:
                         gone.append(j)

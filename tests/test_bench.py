@@ -313,6 +313,7 @@ class TestCli:
             # columns count characters, not UTF-8 bytes
             ("utf8.py", "coroutine('\u00e9' 'k').body(x)", "coroweave: builder source 1:25: "),
             ("fmix.py", "coroutine('fmix64').body()", "coroweave: coroutine name 'fmix64' is reserved"),
+            ("builtin.py", "coroutine('abs').body()", "coroweave: coroutine name 'abs' is reserved"),
             # ast construction runs out of depth on a long method chain
             ("deep.py", to_builder_source(declaration_chain(2000)), "coroweave: builder source: "),
         ]:

@@ -233,11 +233,10 @@ class TestDeterminismAndShape:
 
     def test_dynamic_snippets(self):
         text = emit_dynamic(KERNELS["bt"].build_def()).text
-        assert "    def _run(n, key, _out, _i):" in text
-        assert "(_rt.DynamicUnit):" in text
-        assert "__slots__ = ()" in text
-        assert "lane = _run" in text
-        assert "self._gen = _run(n, key, _out, 0)" in text
+        assert "    def _run(_t, _out, _i):\n        n, key, = _t\n" in text
+        assert text.count("_rt.unit(") == 1
+        assert "    return _rt.unit(_rt.DynamicUnit, 'CoroutineState_bst_find', _run)\n" in text
+        assert "class " not in text and "def __init__" not in text
         assert "def step(" not in text and "def reset(" not in text
         # a generator unit dispatches on nothing and holds no FSM state
         assert "_b = " not in text and "_state" not in text
@@ -259,7 +258,19 @@ class TestDeterminismAndShape:
         assert sorted(texts) == [("ht", "hybrid"), ("ht", "static"), ("mixer", "hybrid")]
         for key, text in texts.items():
             assert "_b =" not in text and "_state" not in text, key
-            assert ") in enumerate(tasks)]" in text, key
+
+    def test_units_print_only_their_lane(self):
+        # the runtime builds every class: a unit prints no class statement
+        for name, make in DIGEST_DEFS.items():
+            for shape in SHAPES[1:-1]:
+                text = emission(make(), shape)
+                if text.startswith("CodegenError"):
+                    continue
+                key = name, shape[0]
+                assert text.count("    def _run(_t, _out, _i):\n") == 1, key
+                assert text.count("_rt.unit(") == 1, key
+                for banned in ("class ", "def __init__", "def init"):
+                    assert banned not in text, (key, banned)
 
 
 class TestDynamicUnit:
@@ -318,6 +329,39 @@ class TestDynamicUnit:
         while not inst.step():
             pass
         assert inst.result() == 3
+
+    def test_reset_does_not_reenter_init(self):
+        cls = load_unit(emit_dynamic(staged_def()))()
+        inits = []
+
+        class Counted(cls):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                inits.append(args)
+                super().__init__(*args)
+
+        inst = Counted(10)
+        want = run_dynamic(cls, 10)
+        for _round in range(2):
+            while not inst.step():
+                pass
+            assert inst.result() == want
+            inst.reset()
+            assert not inst.done()
+        assert inits == [(10,)]
+
+    def test_wrong_arity_fails_at_first_step(self):
+        # the lane unpacks its task tuple on its first resume
+        cls = load_unit(emit_dynamic(KERNELS["bt"].build_def()))()
+        for args in [(None, 2, 3), (None,)]:
+            inst = cls(*args)
+            with pytest.raises(ValueError, match="to unpack"):
+                inst.step()
+        bare = load_unit(emit_dynamic(coroutine("now").result("int").body(return_("1"))))()
+        assert run_dynamic(bare) == 1
+        with pytest.raises(ValueError, match="to unpack"):
+            bare(7).step()
 
     def test_shared_args_bind_at_factory_call(self):
         d = (
@@ -571,6 +615,14 @@ class TestStaticUnit:
         assert out == [routine(x) for x in xs]
         assert_super_steps(d)
 
+    @pytest.mark.parametrize("emit", [emit_static, emit_hybrid])
+    def test_wrong_arity_fails_at_first_super_step(self, emit):
+        d = hashtable_find_def(static_hints=True)
+        batch = load_unit(emit(d, 4))([0] * 8, [0] * 8, 7)()
+        batch.init([(1,), (2, 3), (4,)])
+        with pytest.raises(ValueError, match="to unpack"):
+            batch.super_step()
+
     def test_batch_reuse_rewinds_the_schedule(self):
         # a second init() must restart stage 0, not replay stale results
         d = staged_def()
@@ -758,7 +810,7 @@ class TestAnalysisRecord:
 # SHA-256 over every shape of the kernel definitions and the helper
 # definitions in this file.  A change that alters generated text (the
 # banner's version included) updates it and says so in CHANGES.md.
-EMIT_DIGEST = "5659362081d0a4efe54ea7fc0855e410241e36c218d20db32485263aed4bda74"
+EMIT_DIGEST = "3dbf3c06718749666f98b7e469a26b87ff2edccec2e5871492f999c19ea32ff3"
 
 DIGEST_DEFS = {
     **{k: KERNELS[k].build_def for k in sorted(KERNELS)},

@@ -90,9 +90,9 @@ class TestBuilders:
         with pytest.raises(DslError, match="reserved leading underscore"):
             coroutine("k").variable("int", "_state")
 
-    @pytest.mark.parametrize("name", ["fmix32", "fmix64"])
+    @pytest.mark.parametrize("name", ["fmix32", "fmix64", "abs", "len"])
     def test_imported_hash_names_reserved(self, name):
-        # the routine's def of this name would hide the hash its body calls
+        # the routine's def of this name would hide the hash or builtin its body calls
         with pytest.raises(DslError, match=f"coroutine name '{name}' is reserved"):
             coroutine(name)
 

@@ -517,7 +517,7 @@ class TestInterleaveMapLanes:
     def test_generated_class_exposes_its_lane(self):
         cls = load_unit(emit_dynamic(looped_tail_def()))()
         out = [None, None]
-        g = cls.lane(4, out, 1)
+        g = cls.lane((4,), out, 1)
         while not next(g, True):
             pass
         assert out == [None, load_unit(emit_routine(looped_tail_def()))(4)]
@@ -563,6 +563,18 @@ class TestTaskError:
         assert info.value.task_index == 2
         assert info.value.slot == 0
         assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    @pytest.mark.parametrize("wrap", ["lane", "factory"])
+    def test_wrong_arity_task_is_named(self, wrap):
+        # a generated lane unpacks its task tuple when first resumed
+        cls = load_unit(emit_dynamic(looped_tail_def()))()
+        factory = cls if wrap == "lane" else (lambda *a: cls(*a))
+        for bad in [(), (1, 2)]:
+            tasks = [(3,), (2,), bad, (5,)]
+            with pytest.raises(TaskError) as info:
+                interleave_map(SchedulerConfig(width=2), factory, tasks)
+            assert info.value.task_index == 2
+            assert isinstance(info.value.__cause__, ValueError)
 
     def test_hand_written_class(self):
         class Inverse(Task):
