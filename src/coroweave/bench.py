@@ -181,9 +181,14 @@ def _build_def(cfg: BenchConfig, k: Kernel):
 
 
 def _policy_runner(
-    cfg: BenchConfig, k: Kernel, policy: str, shared: tuple
+    cfg: BenchConfig, k: Kernel, policy: str, shared: tuple, cdef: Any, dynamic: Any
 ) -> Callable[[list[tuple]], list[int]]:
-    """Build a callable mapping a query slice to result-key ints."""
+    """Build a callable mapping a query slice to result-key ints.
+
+    ``cdef`` is the kernel's definition, built once per kernel so that
+    its units share one printed and compiled lane; ``dynamic`` is the
+    class loaded from it for both dynamic policies.
+    """
     result_key = k.result_key
     if policy == "sequential":
         baseline = k.baseline
@@ -194,19 +199,18 @@ def _policy_runner(
         return run
     sched = SchedulerConfig(width=cfg.width)
     if policy in ("simplest", "push_pull"):
-        cls = load_unit(emit_dynamic(_build_def(cfg, k)))(*shared)
         mapper = interleave_map if policy == "simplest" else _push_pull_map
 
         def run(queries: list[tuple]) -> list[int]:
-            return [result_key(r) for r in mapper(sched, cls, queries)]
+            return [result_key(r) for r in mapper(sched, dynamic, queries)]
 
         return run
     if policy in ("static", "hybrid"):
         if policy == "static":
-            emit, drive, cdef = emit_static, run_static_batch, _build_def(cfg, k)
+            emit, drive, unit_def = emit_static, run_static_batch, cdef
         else:
-            emit, drive, cdef = emit_hybrid, run_hybrid, k.build_hybrid_def()
-        unit = load_unit(emit(cdef, cfg.width))(*shared)()
+            emit, drive, unit_def = emit_hybrid, run_hybrid, k.build_hybrid_def()
+        unit = load_unit(emit(unit_def, cfg.width))(*shared)()
 
         def run(queries: list[tuple]) -> list[int]:
             out: list[Any] = [None] * len(queries)
@@ -252,9 +256,13 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         warmup = queries[: min(1000, len(queries) // 10)]
 
         policies = ["sequential"] + [p for p in cfg.policies if _can_run(k, p)]
+        cdef = _build_def(cfg, k)
+        dynamic = None
+        if "simplest" in policies or "push_pull" in policies:
+            dynamic = load_unit(emit_dynamic(cdef))(*shared)
         expected: list[int] | None = None
         for policy in policies:
-            runner = _policy_runner(cfg, k, policy, shared)
+            runner = _policy_runner(cfg, k, policy, shared, cdef, dynamic)
             t0 = time.perf_counter_ns()
             if warmup:
                 runner(warmup)

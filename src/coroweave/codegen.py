@@ -19,18 +19,29 @@ All four print the definition's structured control flow through one
 statement emitter.  The dynamic, static and hybrid units run it as
 one lane generator, ``_run(_t, _out, _i)``, which unpacks the task
 tuple ``_t`` and stores its result in ``_out[_i]``: one per task, or
-one per lane, advanced in lockstep or one lane at a time.  A unit
-prints only that generator; ``runtime.unit`` builds the class on
-``runtime.DynamicUnit`` or ``runtime.BatchUnit``, with a batch unit's
-constants.  Marked loads call ``runtime.mark``, which costs no Python
-frame without a prefetch hook.  Every emitter reads the
-definition's analysis record (``lowering.analyse``), once per object.
+one per lane, advanced in lockstep or one lane at a time.  The lane is
+printed once per definition, inside ``_lane(shared...)``, which binds
+the shared args and returns ``_run``; each unit adds only a two-line
+factory that hands ``_lane(shared...)`` to ``runtime.unit``, which
+builds the class on ``runtime.DynamicUnit`` or ``runtime.BatchUnit``
+with a batch unit's constants.  Marked loads call ``runtime.mark``,
+which costs no Python frame without a prefetch hook.  Every emitter
+reads the definition's analysis record (``lowering.analyse``), once
+per object.
 
 Every emitter returns a :class:`SourceText` whose ``entry`` names a
 zero-or-more-argument factory; calling the factory with the shared-arg
 values (closure state, stored once per run, not per task) yields the
 class, or the function itself for ``emit_routine``.  Output is
-deterministic: the same definition always produces identical bytes.
+deterministic: equal definitions produce identical bytes.
+
+The printed lane chunk (header plus ``_lane``) and the printed routine
+are kept on the definition object (``CoroutineDef._printed``), each
+with its code object once first loaded.  Like the analysis record,
+they are keyed by the object's identity, never by its content: an
+equal definition built separately prints and compiles its own.  So a
+definition's lane is printed and compiled once, however many shapes
+and widths are emitted and loaded from it.
 """
 
 from __future__ import annotations
@@ -59,22 +70,54 @@ class CodegenError(ValueError):
     pass
 
 
+class _Chunk:
+    """Module text printed once per definition object, and its code once loaded.
+
+    ``text`` is the header, then either the ``_lane`` function or the
+    routine; ``lines`` counts its lines, so that a unit's factory can be
+    compiled at the line numbers it has in the unit's text.
+    """
+
+    __slots__ = ("name", "header", "text", "lines", "code")
+
+    def __init__(self, name: str, header: str, body: str) -> None:
+        self.name = name
+        self.header = header
+        self.text = header + "\n\n" + body
+        self.lines = self.text.count("\n")
+        self.code = None
+
+    def run(self, ns: dict[str, Any]) -> None:
+        if self.code is None:
+            self.code = compile(self.text, f"<coroweave:{self.name}>", "exec")
+        exec(self.code, ns)
+
+
 @dataclass(frozen=True, slots=True)
 class SourceText:
-    """A generated compilation unit.
+    """A generated compilation unit: the definition's chunk, then the unit's factory.
 
     ``entry`` is the top-level symbol to pull out of the executed
     module: a factory function for generated classes, the function
-    itself for routines.
+    itself for routines.  ``text`` is the whole module that
+    ``load_unit`` runs, line for line: ``chunk`` (the header and the
+    ``_lane`` function, or the header and the routine) followed by
+    ``factory``, the unit's own lines (empty for a routine).  The chunk
+    and its code object are shared by every unit emitted from one
+    definition object and cached on that object, keyed by identity.
     """
 
     entry: str
-    header: str
-    body: str
+    chunk: _Chunk
+    factory: str = ""
+
+    @property
+    def header(self) -> str:
+        return self.chunk.header
 
     @property
     def text(self) -> str:
-        return self.header + "\n\n" + self.body
+        return self.chunk.text + self.factory
 
 
 def _header(name: str) -> str:
@@ -116,27 +159,46 @@ class _W:
 
 
 def load_unit(src: SourceText) -> Any:
-    """Exec a generated unit and return its entry symbol."""
+    """Exec a generated unit and return its entry symbol.
+
+    The chunk's code is compiled on its first load and reused after;
+    only the factory is compiled here, after blank lines that put each
+    of its lines at its line number in ``src.text``.
+    """
     ns: dict[str, Any] = {"__name__": f"coroweave.generated.{src.entry}"}
-    exec(compile(src.text, f"<coroweave:{src.entry}>", "exec"), ns)
+    src.chunk.run(ns)
+    if src.factory:
+        pad = "\n" * src.chunk.lines
+        exec(compile(pad + src.factory, f"<coroweave:{src.entry}>", "exec"), ns)
     return ns[src.entry]
 
 
 # -- shared emission helpers
 
 
-def _emit_unit(cdef: CoroutineDef, factory: str, base: str, cls: str, consts: str = "") -> SourceText:
-    """Print ``factory(shared...)``: the lane ``_run``, then ``runtime.unit`` makes ``cls``.
+def _chunk_of(cdef: CoroutineDef, kind: str, print_chunk) -> _Chunk:
+    """``print_chunk(cdef)``, made once per definition object and kept on it."""
+    printed = cdef._printed
+    if printed is None:
+        printed = {}
+        object.__setattr__(cdef, "_printed", printed)
+    chunk = printed.get(kind)
+    if chunk is None:
+        chunk = printed[kind] = print_chunk(cdef)
+    return chunk
 
-    The body is printed once, as the lane generator ``_run(_t, _out,
-    _i)``, whose first line unpacks the task tuple ``_t`` into the args.
-    Every suspension point yields False, and a valued return stores into
-    ``_out[_i]``, so the generator holds no reference back to the unit
-    or scheduler that drives it.  ``consts`` is the text of the class
-    constants, as keyword arguments.
+
+def _print_lane(cdef: CoroutineDef) -> _Chunk:
+    """``_lane(shared...)``, which returns the lane generator ``_run``.
+
+    The body is printed once, as ``_run(_t, _out, _i)``, whose first
+    line unpacks the task tuple ``_t`` into the args.  Every suspension
+    point yields False, and a valued return stores into ``_out[_i]``,
+    so the generator holds no reference back to the unit or scheduler
+    that drives it.
     """
     w = _W()
-    w.put(f"def {factory}({', '.join(d.name for d in cdef.shared_args)}):")
+    w.put(f"def _lane({', '.join(d.name for d in cdef.shared_args)}):")
     with w.indent():
         w.put("def _run(_t, _out, _i):")
         with w.indent():
@@ -148,8 +210,20 @@ def _emit_unit(cdef: CoroutineDef, factory: str, base: str, cls: str, consts: st
                 # Without a suspension point the body would be a plain
                 # function; this keeps it a generator and yields nothing.
                 w.put("yield from ()")
-        w.put(f"return _rt.unit(_rt.{base}, {cls!r}, _run{consts})")
-    return SourceText(factory, _header(cdef.name), w.text())
+        w.put("return _run")
+    return _Chunk(f"{cdef.name}._lane", _header(cdef.name), w.text())
+
+
+def _emit_unit(cdef: CoroutineDef, factory: str, base: str, cls: str, consts: str = "") -> SourceText:
+    """The lane chunk, then ``factory(shared...)``, whose ``runtime.unit`` makes ``cls``.
+
+    ``consts`` is the text of the class constants, as keyword arguments.
+    """
+    shared = ", ".join(d.name for d in cdef.shared_args)
+    return SourceText(factory, _chunk_of(cdef, "lane", _print_lane), (
+        f"\n\ndef {factory}({shared}):\n"
+        f"    return _rt.unit(_rt.{base}, {cls!r}, _lane({shared}){consts})\n"
+    ))
 
 
 # -- dynamic (per-task generator, any control flow)
@@ -218,6 +292,10 @@ def _check_valid(cdef: CoroutineDef) -> None:
 def emit_routine(cdef: CoroutineDef) -> SourceText:
     """The sequential twin as a plain function, without suspension points or marks."""
     _check_valid(cdef)
+    return SourceText(cdef.name, _chunk_of(cdef, "routine", _print_routine))
+
+
+def _print_routine(cdef: CoroutineDef) -> _Chunk:
     params = [
         d.name for d in cdef.decls if d.kind in (DeclKind.ARG, DeclKind.SHARED_ARG)
     ]
@@ -226,7 +304,7 @@ def emit_routine(cdef: CoroutineDef) -> SourceText:
     with w.indent():
         w.put(f'"""Sequential form of the {cdef.name!r} coroutine def."""')
         _RoutineEmitter(w, cdef).body(cdef.body)
-    return SourceText(cdef.name, _header(cdef.name), w.text())
+    return _Chunk(cdef.name, _header(cdef.name), w.text())
 
 
 _CALL, _BREAK, _CONTINUE = 1, 2, 4

@@ -84,8 +84,8 @@ def _check_user_ident(name: str, what: str) -> str:
     if not isinstance(name, str) or not name.isidentifier() or keyword.iskeyword(name):
         raise DslError(f"{what} {name!r} is not a valid identifier")
     if name.startswith("_"):
-        # Reserved for generated names: _run, _rt, _t, _out, _i, _addr, _cond,
-        # _rs and the numbered _sw, _once, _brk, _cont and _ca temporaries.
+        # Reserved for generated names: _lane, _run, _rt, _t, _out, _i, _addr,
+        # _cond, _rs and the numbered _sw, _once, _brk, _cont and _ca temporaries.
         raise DslError(f"{what} {name!r} uses the reserved leading underscore")
     return name
 
@@ -310,6 +310,8 @@ class CoroutineDef:
     body: Block
     # lowering.analyse's record for this very object; never compared
     _analysis: object = field(default=None, init=False, repr=False, compare=False)
+    # codegen's printed lane and routine for this very object; never compared
+    _printed: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def args(self) -> tuple[Decl, ...]:

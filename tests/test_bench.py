@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from coroweave import to_builder_source
+from coroweave import codegen, to_builder_source
 from coroweave.bench import (
     CSV_COLUMNS,
     POLICIES,
@@ -86,6 +86,19 @@ class TestRunBench:
         for name in KERNELS:
             sums = {r.checksum for r in rows if r.kernel == name}
             assert len(sums) == 1, name
+
+    def test_policies_share_one_lane_per_definition(self, monkeypatch):
+        lanes = []
+
+        def counted(source, filename, mode):
+            if "\ndef _lane(" in source:
+                lanes.append(filename)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(codegen, "compile", counted, raising=False)
+        run_bench(BenchConfig(kernel="ht", policies=POLICIES, **SMALL))
+        # simplest, push_pull and static share ht's definition; hybrid has its own
+        assert len(lanes) == 2
 
     def test_checksum_tracks_seed(self):
         def checksum(seed):

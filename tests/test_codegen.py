@@ -4,10 +4,12 @@ The sequential routine is the ground truth; every other unit kind must
 agree with it on results, whatever the interleaving machinery does.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import defgen
 from coroweave import (
@@ -27,7 +29,7 @@ from coroweave import (
     straight_line_error,
     to_builder_source,
 )
-from coroweave import dsl, lowering
+from coroweave import codegen, dsl, lowering, runtime
 from coroweave.dsl import (
     assign,
     break_,
@@ -201,14 +203,14 @@ def build(name):
 class TestDeterminismAndShape:
     @pytest.mark.parametrize("name", ALL_DEFS)
     def test_emitters_are_deterministic(self, name):
-        d = build(name)
+        # two separately built definitions: one object keeps its printed text
+        a, b = build(name), build(name)
         for emit in (emit_routine, emit_dynamic):
-            assert emit(d).text == emit(d).text
+            assert emit(a).text == emit(b).text
 
     def test_static_and_hybrid_deterministic(self):
         assert emit_static(staged_def(), 4).text == emit_static(staged_def(), 4).text
-        d = hybrid_tail_def()
-        assert emit_hybrid(d, 4).text == emit_hybrid(d, 4).text
+        assert emit_hybrid(hybrid_tail_def(), 4).text == emit_hybrid(hybrid_tail_def(), 4).text
 
     @pytest.mark.parametrize("name", ALL_DEFS)
     def test_generated_units_compile(self, name):
@@ -233,9 +235,12 @@ class TestDeterminismAndShape:
 
     def test_dynamic_snippets(self):
         text = emit_dynamic(KERNELS["bt"].build_def()).text
-        assert "    def _run(_t, _out, _i):\n        n, key, = _t\n" in text
+        assert "\n\ndef _lane():\n    def _run(_t, _out, _i):\n        n, key, = _t\n" in text
         assert text.count("_rt.unit(") == 1
-        assert "    return _rt.unit(_rt.DynamicUnit, 'CoroutineState_bst_find', _run)\n" in text
+        assert text.endswith(
+            "    return _run\n\n\ndef make_bst_find():\n"
+            "    return _rt.unit(_rt.DynamicUnit, 'CoroutineState_bst_find', _lane())\n"
+        )
         assert "class " not in text and "def __init__" not in text
         assert "def step(" not in text and "def reset(" not in text
         # a generator unit dispatches on nothing and holds no FSM state
@@ -807,10 +812,142 @@ class TestAnalysisRecord:
         assert counts == {"validate": 1, "lower": 1}
 
 
+# -- one printed and compiled lane per definition object
+
+
+def count_compiles(monkeypatch) -> list[str]:
+    """The source of every ``compile()`` call that codegen makes from now on."""
+    sources = []
+
+    def counted(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(codegen, "compile", counted, raising=False)
+    return sources
+
+
+def lane_compiles(sources) -> int:
+    return sum("\ndef _lane(" in src for src in sources)
+
+
+def divide_def():
+    """Straight line with a static prefix; ``1 // x`` raises for x = 0."""
+    return (
+        coroutine("divide").result("int", "r").arg("int", "x").variable("int", "t", "0")
+        .body(
+            assign("t", "x + 1"),
+            yield_("static"),
+            opaque("t = 1 // x"),
+            yield_("static"),
+            return_("t"),
+        )
+    )
+
+
+def innermost_generated(exc: BaseException):
+    """The innermost traceback entry that runs generated code."""
+    tb, found = exc.__traceback__, None
+    while tb is not None:
+        if tb.tb_frame.f_code.co_filename.startswith("<coroweave:"):
+            found = tb
+        tb = tb.tb_next
+    assert found is not None
+    return found
+
+
+def run_shape(emit, args, make, tasks):
+    """Run ``tasks`` through ``make``, loaded from ``emit(d, *args)``."""
+    if emit is emit_routine:
+        return [make(*t) for t in tasks]
+    if emit is emit_dynamic:
+        return [run_dynamic(make(), *t) for t in tasks]
+    runner = run_static_batch if emit is emit_static else run_hybrid
+    out = [None] * len(tasks)
+    runner(SchedulerConfig(width=args[0]), make()(), tasks, out)
+    return out
+
+
+class TestSharedLane:
+    def test_one_lane_compile_for_every_shape_and_width(self, monkeypatch):
+        sources = count_compiles(monkeypatch)
+        d = hashtable_find_def(static_hints=True)
+        units = [emit(d, *args) for _, emit, args in SHAPES[1:-1]]
+        assert [u.entry for u in units] == ["make_hashtable_find"] + [
+            f"make_{p}hashtable_find_{w}" for p in ("", "hybrid_") for w in (1, 5, 16)]
+        for src in units:
+            load_unit(src)
+        assert lane_compiles(sources) == 1
+        # every unit compiles its own two factory lines, and nothing else
+        assert len(sources) == 1 + len(units)
+        for src in units:
+            assert src.chunk is units[0].chunk
+            assert src.text == src.chunk.text + src.factory
+            assert src.factory.count("\n") == 4
+        load_unit(emit_routine(d))
+        load_unit(emit_routine(d))
+        assert len(sources) == 2 + len(units)
+
+    def test_cache_is_keyed_by_identity_not_content(self, monkeypatch):
+        sources = count_compiles(monkeypatch)
+        a = hashtable_find_def(static_hints=True)
+        load_unit(emit_dynamic(a))
+        b = hashtable_find_def(static_hints=True)
+        c = dataclasses.replace(a)
+        assert a == b == c and b is not a and c is not a
+        for d in (a, b, c, a, b, c):
+            load_unit(emit_dynamic(d))
+            load_unit(emit_static(d, 5))
+        assert lane_compiles(sources) == 3
+        assert emit_dynamic(b).chunk is not emit_dynamic(a).chunk
+        assert emit_dynamic(c).chunk is not emit_dynamic(a).chunk
+        assert emit_hybrid(c, 16).text == emit_hybrid(a, 16).text
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(defgen.coroutine_defs(), defgen.straight_line_defs(),
+                     defgen.hinted_prefix_defs()))
+    def test_every_shape_from_one_definition_matches_routine(self, d):
+        want = run_shape(emit_routine, (), load_unit(emit_routine(d)), FUZZ_TASKS)
+        for shape, emit, args in SHAPES[1:-1]:
+            try:
+                src = emit(d, *args)
+            except CodegenError:
+                continue
+            assert run_shape(emit, args, load_unit(src), FUZZ_TASKS) == want, shape
+
+    @pytest.mark.parametrize("shape", [s for s, *_ in SHAPES[:-1]])
+    def test_tracebacks_index_the_unit_text(self, shape, monkeypatch):
+        _, emit, args = next(s for s in SHAPES if s[0] == shape)
+        d = divide_def()
+        for _, other_emit, other_args in SHAPES[:-1]:
+            load_unit(other_emit(d, *other_args))  # the chunk's code comes from the first
+        src = emit(d, *args)
+        lines = src.text.splitlines()
+        with pytest.raises(ZeroDivisionError) as info:
+            run_shape(emit, args, load_unit(src), [(3,), (0,)])
+        tb = innermost_generated(info.value)
+        assert lines[tb.tb_lineno - 1].strip() == "t = 1 // x"
+        assert tb.tb_frame.f_lineno == tb.tb_lineno
+        if shape == "routine":
+            return
+
+        # a failure in the factory points at the factory's own line
+        def refuse(*args, **consts):
+            raise RuntimeError("no class")
+
+        monkeypatch.setattr(runtime, "unit", refuse)
+        with pytest.raises(RuntimeError, match="no class") as info:
+            load_unit(src)()
+        tb = innermost_generated(info.value)
+        assert tb.tb_frame.f_code.co_filename == f"<coroweave:{src.entry}>"
+        assert lines[tb.tb_lineno - 1].startswith("    return _rt.unit(_rt.")
+        assert lines[tb.tb_lineno - 2] == f"def {src.entry}():"
+
+
 # SHA-256 over every shape of the kernel definitions and the helper
 # definitions in this file.  A change that alters generated text (the
 # banner's version included) updates it and says so in CHANGES.md.
-EMIT_DIGEST = "3dbf3c06718749666f98b7e469a26b87ff2edccec2e5871492f999c19ea32ff3"
+EMIT_DIGEST = "c57f8d86a2732a0e8f6dfb0266ff18561b519f937947853d50fdfe7979f5bb14"
 
 DIGEST_DEFS = {
     **{k: KERNELS[k].build_def for k in sorted(KERNELS)},
