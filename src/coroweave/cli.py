@@ -158,11 +158,13 @@ def _cmd_gen(args) -> int:
     except (OSError, dsl.DslError) as e:
         print(f"coroweave: {e}", file=sys.stderr)
         return 2
-    diags = analyse(cdef).diagnostics
-    if diags:
-        for d in diags:
+    rec = analyse(cdef)
+    if rec.diagnostics:
+        for d in rec.diagnostics:
             print(d, file=sys.stderr)
         return 2
+    for w in rec.fsm.warnings:
+        print(f"coroweave: warning: {w}", file=sys.stderr)
     try:
         if args.emit == "routine":
             text = emit_routine(cdef).text

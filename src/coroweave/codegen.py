@@ -21,10 +21,12 @@ one lane generator, ``_run(_t, _out, _i)``, which unpacks the task
 tuple ``_t`` and stores its result in ``_out[_i]``: one per task, or
 one per lane, advanced in lockstep or one lane at a time.  The lane is
 printed once per definition, inside ``_lane(shared...)``, which binds
-the shared args and returns ``_run``; each unit adds only a two-line
-factory that hands ``_lane(shared...)`` to ``runtime.unit``, which
-builds the class on ``runtime.DynamicUnit`` or ``runtime.BatchUnit``
-with a batch unit's constants.  Marked loads call ``runtime.mark``,
+the shared args and returns ``_run``.  A two-line factory hands
+``_lane(shared...)`` to ``runtime.unit``, which builds the class on
+``runtime.DynamicUnit`` or ``runtime.BatchUnit`` with a batch unit's
+constants.  The dynamic factory has no constants, so it is printed
+with the lane, and a dynamic unit is the lane chunk alone; each batch
+unit adds its own factory after it.  Marked loads call ``runtime.mark``,
 which costs no Python frame without a prefetch hook.  Every emitter
 reads the definition's analysis record (``lowering.analyse``), once
 per object.
@@ -73,9 +75,10 @@ class CodegenError(ValueError):
 class _Chunk:
     """Module text printed once per definition object, and its code once loaded.
 
-    ``text`` is the header, then either the ``_lane`` function or the
-    routine; ``lines`` counts its lines, so that a unit's factory can be
-    compiled at the line numbers it has in the unit's text.
+    ``text`` is the header, then either the ``_lane`` function and the
+    dynamic factory, or the routine; ``lines`` counts its lines, so that
+    a batch unit's factory can be compiled at the line numbers it has in
+    the unit's text.
     """
 
     __slots__ = ("name", "header", "text", "lines", "code")
@@ -100,11 +103,12 @@ class SourceText:
     ``entry`` is the top-level symbol to pull out of the executed
     module: a factory function for generated classes, the function
     itself for routines.  ``text`` is the whole module that
-    ``load_unit`` runs, line for line: ``chunk`` (the header and the
-    ``_lane`` function, or the header and the routine) followed by
-    ``factory``, the unit's own lines (empty for a routine).  The chunk
-    and its code object are shared by every unit emitted from one
-    definition object and cached on that object, keyed by identity.
+    ``load_unit`` runs, line for line: ``chunk`` (the header, the
+    ``_lane`` function and the dynamic factory, or the header and the
+    routine) followed by ``factory``, a batch unit's own lines (empty
+    for a dynamic unit or a routine).  The chunk and its code object
+    are shared by every unit emitted from one definition object and
+    cached on that object, keyed by identity.
     """
 
     entry: str
@@ -162,8 +166,8 @@ def load_unit(src: SourceText) -> Any:
     """Exec a generated unit and return its entry symbol.
 
     The chunk's code is compiled on its first load and reused after;
-    only the factory is compiled here, after blank lines that put each
-    of its lines at its line number in ``src.text``.
+    only a batch unit's factory is compiled here, after blank lines that
+    put each of its lines at its line number in ``src.text``.
     """
     ns: dict[str, Any] = {"__name__": f"coroweave.generated.{src.entry}"}
     src.chunk.run(ns)
@@ -189,7 +193,7 @@ def _chunk_of(cdef: CoroutineDef, kind: str, print_chunk) -> _Chunk:
 
 
 def _print_lane(cdef: CoroutineDef) -> _Chunk:
-    """``_lane(shared...)``, which returns the lane generator ``_run``.
+    """``_lane(shared...)``, which returns the lane generator ``_run``, then the dynamic factory.
 
     The body is printed once, as ``_run(_t, _out, _i)``, whose first
     line unpacks the task tuple ``_t`` into the args.  Every suspension
@@ -211,19 +215,26 @@ def _print_lane(cdef: CoroutineDef) -> _Chunk:
                 # function; this keeps it a generator and yields nothing.
                 w.put("yield from ()")
         w.put("return _run")
-    return _Chunk(f"{cdef.name}._lane", _header(cdef.name), w.text())
+    dynamic = _factory(cdef, f"make_{cdef.name}", "DynamicUnit", f"CoroutineState_{cdef.name}")
+    return _Chunk(f"{cdef.name}._lane", _header(cdef.name), w.text() + dynamic)
 
 
-def _emit_unit(cdef: CoroutineDef, factory: str, base: str, cls: str, consts: str = "") -> SourceText:
-    """The lane chunk, then ``factory(shared...)``, whose ``runtime.unit`` makes ``cls``.
+def _factory(cdef: CoroutineDef, name: str, base: str, cls: str, consts: str = "") -> str:
+    """``name(shared...)``, whose ``runtime.unit`` makes ``cls`` from the lane.
 
     ``consts`` is the text of the class constants, as keyword arguments.
     """
     shared = ", ".join(d.name for d in cdef.shared_args)
-    return SourceText(factory, _chunk_of(cdef, "lane", _print_lane), (
-        f"\n\ndef {factory}({shared}):\n"
+    return (
+        f"\n\ndef {name}({shared}):\n"
         f"    return _rt.unit(_rt.{base}, {cls!r}, _lane({shared}){consts})\n"
-    ))
+    )
+
+
+def _emit_batch(cdef: CoroutineDef, name: str, cls: str, consts: str) -> SourceText:
+    """The lane chunk, then the batch factory ``name``."""
+    return SourceText(name, _chunk_of(cdef, "lane", _print_lane),
+                      _factory(cdef, name, "BatchUnit", cls, consts))
 
 
 # -- dynamic (per-task generator, any control flow)
@@ -235,9 +246,11 @@ def emit_dynamic(cdef: CoroutineDef) -> SourceText:
     The body is printed once, as the lane generator ``_run``, exposed on
     the class as ``lane`` for ``interleave_map``.  Instances take their
     constructor, ``step()`` and the rest from ``runtime.DynamicUnit``.
+    The factory is part of the lane chunk, so loading the unit compiles
+    nothing once the chunk has been compiled.
     """
     _check_valid(cdef)
-    return _emit_unit(cdef, f"make_{cdef.name}", "DynamicUnit", f"CoroutineState_{cdef.name}")
+    return SourceText(f"make_{cdef.name}", _chunk_of(cdef, "lane", _print_lane))
 
 
 # -- static and hybrid (one generator per lane)
@@ -256,8 +269,8 @@ def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
     err = analyse(cdef).straight_line_error
     if err is not None:
         raise CodegenError(f"{cdef.name}: {err}")
-    return _emit_unit(cdef, f"make_{cdef.name}_{width}", "BatchUnit",
-                      f"CoroutineState_{cdef.name}_{width}", f", _WIDTH={width}")
+    return _emit_batch(cdef, f"make_{cdef.name}_{width}",
+                       f"CoroutineState_{cdef.name}_{width}", f", _WIDTH={width}")
 
 
 def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
@@ -276,8 +289,8 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
             f"{cdef.name}: no statically scheduled stage prefix; hint the"
             " leading yields as static, or use the dynamic unit"
         )
-    return _emit_unit(cdef, f"make_hybrid_{cdef.name}_{width}", "BatchUnit",
-                      f"CoroutineHybrid_{cdef.name}_{width}", f", _WIDTH={width}, _PREFIX={prefix}")
+    return _emit_batch(cdef, f"make_hybrid_{cdef.name}_{width}",
+                       f"CoroutineHybrid_{cdef.name}_{width}", f", _WIDTH={width}, _PREFIX={prefix}")
 
 
 # -- plain sequential routine and the shared statement emitter

@@ -63,11 +63,7 @@ __all__ = [
     "validate",
     "to_builder_source",
     "parse_builder_source",
-    "YIELD_MARKER",
 ]
-
-# Token reserved for the toolchain; opaque text containing it is rejected (R4).
-YIELD_MARKER = "__yield__"
 
 
 class DslError(ValueError):
@@ -573,7 +569,6 @@ class Diagnostic:
 R_PLACEMENT = "R1"
 R_RESULT = "R2"
 R_TAIL_CALL = "R3"
-R_MARKER = "R4"
 R_UNDECLARED = "R5"
 R_DUP = "R-dup"
 
@@ -620,9 +615,6 @@ class _Validator:
 
     def stmt(self, s, path: str, *, loop_depth: int, switch_depth: int, tail: bool) -> None:
         match s:
-            case Opaque(text=text):
-                if YIELD_MARKER in text:
-                    self.report(R_MARKER, path, f"opaque text contains reserved token {YIELD_MARKER!r}")
             case Block():
                 self.block(s, path, loop_depth=loop_depth, switch_depth=switch_depth)
             case If(then=then, orelse=orelse):

@@ -351,6 +351,24 @@ class TestCli:
         assert err[0] == "R1: body[0]: break outside any loop or switch"
         assert err[1] == "R5: body[1]: destination 'ghost' is not a declared variable or arg"
 
+    def test_gen_warns_of_dropped_code(self, tmp_path, capsys):
+        src = tmp_path / "dead.py"
+        src.write_text(
+            "coroutine('dead').variable('int', 't').body(\n"
+            "    return_(),\n"
+            "    assign('t', '1'),\n"
+            ")\n"
+        )
+        for emit in ("routine", "dynamic", "fsm"):
+            rc = main(["gen", "--def", str(src), "--emit", emit])
+            assert rc == 0
+            out, err = capsys.readouterr()
+            assert err == "coroweave: warning: unreachable code dropped at body[1]\n"
+            assert out
+        rc = main(["gen", "--kernel", "bt"])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
     def test_gen_output_file(self, tmp_path):
         dest = tmp_path / "unit.py"
         rc = main(["gen", "--kernel", "sl", "-o", str(dest)])

@@ -234,9 +234,12 @@ class TestDeterminismAndShape:
         assert emit_hybrid(hybrid_tail_def(), 6).entry == "make_hybrid_mixer_6"
 
     def test_dynamic_snippets(self):
-        text = emit_dynamic(KERNELS["bt"].build_def()).text
+        src = emit_dynamic(KERNELS["bt"].build_def())
+        text = src.text
         assert "\n\ndef _lane():\n    def _run(_t, _out, _i):\n        n, key, = _t\n" in text
         assert text.count("_rt.unit(") == 1
+        # the dynamic factory is the end of the lane chunk: the unit adds nothing to it
+        assert src.factory == "" and text == src.chunk.text
         assert text.endswith(
             "    return _run\n\n\ndef make_bst_find():\n"
             "    return _rt.unit(_rt.DynamicUnit, 'CoroutineState_bst_find', _lane())\n"
@@ -273,7 +276,8 @@ class TestDeterminismAndShape:
                     continue
                 key = name, shape[0]
                 assert text.count("    def _run(_t, _out, _i):\n") == 1, key
-                assert text.count("_rt.unit(") == 1, key
+                # the lane chunk's dynamic factory, then a batch unit's own
+                assert text.count("_rt.unit(") == 1 + (shape[0] != "dynamic"), key
                 for banned in ("class ", "def __init__", "def init"):
                     assert banned not in text, (key, banned)
 
@@ -878,15 +882,18 @@ class TestSharedLane:
         for src in units:
             load_unit(src)
         assert lane_compiles(sources) == 1
-        # every unit compiles its own two factory lines, and nothing else
-        assert len(sources) == 1 + len(units)
+        # the dynamic unit compiles nothing beyond the chunk; every batch
+        # unit compiles its own two factory lines, and nothing else
+        assert len(sources) == len(units)
+        assert units[0].factory == ""
         for src in units:
             assert src.chunk is units[0].chunk
             assert src.text == src.chunk.text + src.factory
+        for src in units[1:]:
             assert src.factory.count("\n") == 4
         load_unit(emit_routine(d))
         load_unit(emit_routine(d))
-        assert len(sources) == 2 + len(units)
+        assert len(sources) == 1 + len(units)
 
     def test_cache_is_keyed_by_identity_not_content(self, monkeypatch):
         sources = count_compiles(monkeypatch)
@@ -939,7 +946,9 @@ class TestSharedLane:
         with pytest.raises(RuntimeError, match="no class") as info:
             load_unit(src)()
         tb = innermost_generated(info.value)
-        assert tb.tb_frame.f_code.co_filename == f"<coroweave:{src.entry}>"
+        # the dynamic factory is compiled with the lane chunk
+        owner = src.chunk.name if shape == "dynamic" else src.entry
+        assert tb.tb_frame.f_code.co_filename == f"<coroweave:{owner}>"
         assert lines[tb.tb_lineno - 1].startswith("    return _rt.unit(_rt.")
         assert lines[tb.tb_lineno - 2] == f"def {src.entry}():"
 
@@ -947,7 +956,7 @@ class TestSharedLane:
 # SHA-256 over every shape of the kernel definitions and the helper
 # definitions in this file.  A change that alters generated text (the
 # banner's version included) updates it and says so in CHANGES.md.
-EMIT_DIGEST = "c57f8d86a2732a0e8f6dfb0266ff18561b519f937947853d50fdfe7979f5bb14"
+EMIT_DIGEST = "2d14a69f2074ffc187b82eb846385878d8e85e9c032c5d076be509cc66a33158"
 
 DIGEST_DEFS = {
     **{k: KERNELS[k].build_def for k in sorted(KERNELS)},

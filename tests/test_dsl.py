@@ -8,7 +8,6 @@ from hypothesis import given, settings
 import defgen
 from coroweave import dsl
 from coroweave.dsl import (
-    YIELD_MARKER,
     Block,
     CoroutineDef,
     DeclKind,
@@ -232,12 +231,6 @@ class TestValidate:
     def test_r3_arity(self):
         d = coroutine("k").arg("int", "x").body(call("k"))
         assert self.as_strings(d) == ["R3: body[0]: call passes 0 args, coroutine takes 1"]
-
-    def test_r4_marker_in_opaque(self):
-        d = coroutine("k").body(opaque(f"t = '{YIELD_MARKER}'"))
-        out = validate(d)
-        assert len(out) == 1 and out[0].rule == "R4"
-        assert YIELD_MARKER == "__yield__"
 
     def test_r5_undeclared_destination(self):
         d = coroutine("k").arg("int", "x").body(assign("y", "x"))

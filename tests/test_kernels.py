@@ -6,6 +6,7 @@ under test.
 """
 
 import bisect
+import random
 from array import array
 from itertools import count
 
@@ -169,6 +170,103 @@ class TestDatasets:
         assert any(q in present for q in qs)
         assert any(q not in present for q in qs)
         assert all(q >= 1 for q in qs)
+
+
+# -- reference builders: the earlier loops, kept verbatim as the oracle
+# for the linear-pass builders in datasets.py
+
+
+def ref_keys(n, rng):
+    keys = []
+    k = 0
+    for _ in range(n):
+        k += rng.randrange(1, 8)
+        keys.append(k)
+    return keys
+
+
+def ref_bst_root(n, seed):
+    rng = random.Random(seed)
+    keys = ref_keys(n, rng)
+    order = keys[:]
+    rng.shuffle(order)
+    root = datasets.TreeNode(order[0])
+    for key in order[1:]:
+        node = root
+        while True:
+            nxt = node.child[node.key < key]
+            if nxt is None:
+                node.child[node.key < key] = datasets.TreeNode(key)
+                break
+            node = nxt
+    return root
+
+
+def ref_hash_columns(n, seed):
+    keys = ref_keys(n, random.Random(seed))
+    size = 1
+    while size < 2 * n:
+        size <<= 1
+    keys_col = array("Q", bytes(8 * size))
+    vals_col = array("Q", bytes(8 * size))
+    mask = size - 1
+    for k in keys:
+        h = fmix64(k) & mask
+        while keys_col[h] != 0:
+            h = (h + 1) & mask
+        keys_col[h] = k
+        vals_col[h] = value_for_key(k)
+    return keys_col, vals_col
+
+
+def preorder_with_leaves(root):
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            out.append(None)
+        else:
+            out.append(node.key)
+            stack += (node.child[1], node.child[0])
+    return out
+
+
+def skip_links(sl):
+    return [(n.key, n.height, [m.key for m in n.skip]) for n in [sl.head, *sl.nodes, sl.tail]]
+
+
+BUILD_CASES = [(n, seed) for n in (1, 2, 7, 64, 1000) for seed in (0, 1, 5, 9)] + [(1 << 16, 7)]
+
+
+class TestBuildersMatchReference:
+    """Same keys, tree, links, columns and RNG state as the reference builders."""
+
+    @pytest.mark.parametrize("n, seed", BUILD_CASES)
+    def test_keys_and_rng_state(self, n, seed):
+        ref, new = random.Random(seed), random.Random(seed)
+        assert datasets._keys(n, new) == ref_keys(n, ref)
+        assert new.getstate() == ref.getstate()
+        assert list(make_sorted_array(n, seed).keys) == ref_keys(n, random.Random(seed))
+
+    @pytest.mark.parametrize("n, seed", BUILD_CASES)
+    def test_bst(self, n, seed):
+        bst = make_bst(n, seed)
+        assert bst.keys == ref_keys(n, random.Random(seed))
+        assert preorder_with_leaves(bst.root) == preorder_with_leaves(ref_bst_root(n, seed))
+
+    @pytest.mark.parametrize("n, seed", BUILD_CASES)
+    def test_skiplist(self, n, seed, monkeypatch):
+        new = make_skiplist(n, seed)
+        monkeypatch.setattr(datasets, "_keys", ref_keys)
+        assert skip_links(new) == skip_links(make_skiplist(n, seed))
+
+    @pytest.mark.parametrize("n, seed", BUILD_CASES)
+    def test_hashtable(self, n, seed):
+        ht = make_hashtable(n, seed)
+        keys_col, vals_col = ref_hash_columns(n, seed)
+        assert ht.keys_col == keys_col and ht.vals_col == vals_col
+        assert ht.size_1 == len(keys_col) - 1
+        assert ht.keys == ref_keys(n, random.Random(seed))
 
 
 class TestChecksum:
