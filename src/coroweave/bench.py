@@ -25,7 +25,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .codegen import emit_dynamic, emit_hybrid, emit_static, load_unit
+from .codegen import CodegenError, SourceText, emit_dynamic, emit_hybrid, emit_static, load_unit
+from .dsl import CoroutineDef
 from .kernels import KERNELS, Kernel, fold_checksum
 from .schedulers import (
     SchedulerConfig,
@@ -102,16 +103,6 @@ class BenchConfig:
             raise ConfigError("elements must be >= 1")
         if self.size_bytes is not None and self.size_bytes < 1:
             raise ConfigError(f"size must be >= 1 byte, got {self.size_bytes}")
-        # The whole policy set means "all", and run_bench then skips what a
-        # kernel cannot run, as for kernel "all"; a smaller set must run.
-        if self.kernel != "all" and set(self.policies) != set(POLICIES):
-            k = KERNELS[self.kernel]
-            for p in self.policies:
-                if not _can_run(k, p):
-                    raise ConfigError(
-                        f"kernel {self.kernel!r} has data-dependent stage"
-                        f" transitions; the {p} policy cannot run it"
-                    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,15 +125,6 @@ class BenchRow:
 class BenchReport:
     rows: list[BenchRow] = field(default_factory=list)
     phases_ns: dict[str, int] = field(default_factory=dict)
-
-
-def _can_run(k: Kernel, policy: str) -> bool:
-    """Whether ``k`` has a definition that ``policy`` can schedule."""
-    if policy == "static":
-        return k.static_capable
-    if policy == "hybrid":
-        return k.build_hybrid_def is not None
-    return True
 
 
 def _element_count(cfg: BenchConfig, k: Kernel) -> int:
@@ -174,20 +156,37 @@ def _build_queries(cfg: BenchConfig, k: Kernel, ds: Any) -> list[tuple]:
     return k.make_queries(ds, cfg.queries, cfg.seed + 1)
 
 
-def _build_def(cfg: BenchConfig, k: Kernel):
-    if k.name == "bs":
-        return k.build_def(cfg.select)
-    return k.build_def()
+# The lockstep policies, by the emitter that decides whether a kernel runs under each.
+_LOCKSTEP = {"static": emit_static, "hybrid": emit_hybrid}
+
+
+def _lockstep_units(cfg: BenchConfig, k: Kernel, cdef: CoroutineDef) -> dict[str, SourceText]:
+    """Each requested static or hybrid unit of ``k``, by policy.
+
+    The emitter's refusal is the config error, unless the kernel or the
+    policy set is "all": then the refused unit is skipped.
+    """
+    skip = cfg.kernel == "all" or set(cfg.policies) == set(POLICIES)
+    units = {}
+    for policy in cfg.policies:
+        if policy in _LOCKSTEP:
+            unit_def = cdef if policy == "static" else k.definition(policy, cfg.select)
+            try:
+                units[policy] = _LOCKSTEP[policy](unit_def, cfg.width)
+            except CodegenError as err:
+                if not skip:
+                    raise ConfigError(str(err)) from None
+    return units
 
 
 def _policy_runner(
-    cfg: BenchConfig, k: Kernel, policy: str, shared: tuple, cdef: Any, dynamic: Any
+    cfg: BenchConfig, k: Kernel, policy: str, shared: tuple, dynamic: Any,
+    unit_src: SourceText | None,
 ) -> Callable[[list[tuple]], list[int]]:
     """Build a callable mapping a query slice to result-key ints.
 
-    ``cdef`` is the kernel's definition, built once per kernel so that
-    its units share one printed and compiled lane; ``dynamic`` is the
-    class loaded from it for both dynamic policies.
+    ``dynamic`` is the class loaded for both dynamic policies, and
+    ``unit_src`` the emitted unit of a lockstep policy.
     """
     result_key = k.result_key
     if policy == "sequential":
@@ -205,12 +204,9 @@ def _policy_runner(
             return [result_key(r) for r in mapper(sched, dynamic, queries)]
 
         return run
-    if policy in ("static", "hybrid"):
-        if policy == "static":
-            emit, drive, unit_def = emit_static, run_static_batch, cdef
-        else:
-            emit, drive, unit_def = emit_hybrid, run_hybrid, k.build_hybrid_def()
-        unit = load_unit(emit(unit_def, cfg.width))(*shared)()
+    if policy in _LOCKSTEP:
+        drive = run_static_batch if policy == "static" else run_hybrid
+        unit = load_unit(unit_src)(*shared)()
 
         def run(queries: list[tuple]) -> list[int]:
             out: list[Any] = [None] * len(queries)
@@ -246,6 +242,10 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
     names = list(KERNELS) if cfg.kernel == "all" else [cfg.kernel]
     for name in names:
         k = KERNELS[name]
+        # the plain definition, built once so that simplest, push_pull and
+        # static share its printed and compiled lane
+        cdef = k.definition("simplest", cfg.select)
+        units = _lockstep_units(cfg, k, cdef)
         n = _element_count(cfg, k)
         _check_memory(cfg, k, n)
         t0 = time.perf_counter_ns()
@@ -255,14 +255,14 @@ def run_bench(cfg: BenchConfig) -> BenchReport:
         report.phases_ns[f"{name}:build"] = time.perf_counter_ns() - t0
         warmup = queries[: min(1000, len(queries) // 10)]
 
-        policies = ["sequential"] + [p for p in cfg.policies if _can_run(k, p)]
-        cdef = _build_def(cfg, k)
+        policies = ["sequential"]
+        policies += [p for p in cfg.policies if p not in _LOCKSTEP or p in units]
         dynamic = None
         if "simplest" in policies or "push_pull" in policies:
             dynamic = load_unit(emit_dynamic(cdef))(*shared)
         expected: list[int] | None = None
         for policy in policies:
-            runner = _policy_runner(cfg, k, policy, shared, cdef, dynamic)
+            runner = _policy_runner(cfg, k, policy, shared, dynamic, units.get(policy))
             t0 = time.perf_counter_ns()
             if warmup:
                 runner(warmup)

@@ -142,12 +142,7 @@ def _cmd_bench(args) -> int:
 
 def _gen_def(args):
     if args.kernel is not None:
-        k = KERNELS[args.kernel]
-        if args.emit == "hybrid" and k.build_hybrid_def is not None:
-            return k.build_hybrid_def()
-        if args.kernel == "bs":
-            return k.build_def(args.select)
-        return k.build_def()
+        return KERNELS[args.kernel].definition(args.emit, args.select)
     with open(args.def_file) as fh:
         return dsl.parse_builder_source(fh.read())
 

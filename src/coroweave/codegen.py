@@ -357,9 +357,10 @@ class _RoutineEmitter:
     """Structured statement emission for the routine and generator bodies.
 
     Break/continue targets are carried as literal line lists so that a
-    translation through a ``for _once in (0,):`` wrapper (needed when a
-    do-while body re-checks its condition via continue, or a switch arm
-    breaks out early) composes with enclosing constructs.
+    translation composes with enclosing constructs: a continue in a
+    do-while prints its condition check, and a switch whose arm breaks
+    out early is wrapped in a ``for _once in (0,):`` loop, through which
+    an outer continue escapes by a ``_cont`` flag.
 
     A self tail-resume rebinds the args and restarts a ``while True:``
     loop around the body, which re-runs the variable initializers; from
@@ -498,7 +499,7 @@ class _RoutineEmitter:
                 with self.loop(f"while {cond}:", self.facts[id(s)] & _CALL):
                     self.suite(body, ["break"], ["continue"])
             case dsl.DoWhile(body=body, cond=cond):
-                self.do_while(body, cond, self.facts[id(s)])
+                self.do_while(body, cond, self.facts[id(s)] & _CALL)
             case dsl.Switch():
                 self.switch(s, brk, cont)
             case dsl.Call(args=args):
@@ -506,31 +507,12 @@ class _RoutineEmitter:
             case _:
                 raise CodegenError(f"cannot emit {type(s).__name__} in a routine")
 
-    def do_while(self, body: dsl.Block, cond: str, flags: int) -> None:
-        w = self.w
-        calls = flags & _CALL
-        if not flags & _CONTINUE:
-            with self.loop("while True:", calls):
-                self.suite(body, ["break"], None)
-                w.put(f"if not ({cond}):")
-                with w.indent():
-                    w.put("break")
-            return
+    def do_while(self, body: dsl.Block, cond: str, calls: int) -> None:
         # A continue must land on the condition check, which a bare
-        # while-True continue would skip; route it through a one-shot
-        # inner loop.
-        n = self.fresh()
-        has_break = flags & _BREAK
-        if has_break:
-            w.put(f"_brk{n} = False")
+        # while-True continue would skip, so it checks the condition itself.
+        w = self.w
         with self.loop("while True:", calls):
-            with self.loop(f"for _once{n} in (0,):", calls):
-                brk = [f"_brk{n} = True", "break"] if has_break else None
-                self.suite(body, brk, ["break"])
-            if has_break:
-                w.put(f"if _brk{n}:")
-                with w.indent():
-                    w.put("break")
+            self.suite(body, ["break"], [f"if ({cond}):", "    continue", "break"])
             w.put(f"if not ({cond}):")
             with w.indent():
                 w.put("break")

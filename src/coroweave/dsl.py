@@ -81,7 +81,7 @@ def _check_user_ident(name: str, what: str) -> str:
         raise DslError(f"{what} {name!r} is not a valid identifier")
     if name.startswith("_"):
         # Reserved for generated names: _lane, _run, _rt, _t, _out, _i, _addr,
-        # _cond, _rs and the numbered _sw, _once, _brk, _cont and _ca temporaries.
+        # _cond, _rs and the numbered _sw, _once, _cont and _ca temporaries.
         raise DslError(f"{what} {name!r} uses the reserved leading underscore")
     return name
 
@@ -655,8 +655,7 @@ def validate(cdef: CoroutineDef) -> list[Diagnostic]:
     """Check a definition, returning all diagnostics (empty means valid).
 
     Rules: R1 break/continue placement, R2 valued return needs a result
-    declaration, R3 calls are self tail-resumes with matching arity,
-    R4 opaque text must not contain the reserved yield marker, R5
+    declaration, R3 calls are self tail-resumes with matching arity, R5
     load/assign destinations name a declared variable or arg in scope,
     and R-dup rejects shadowing.  Pure: the tree is never modified.
     """

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..dsl import CoroutineDef
-from ..lowering import split_stages, straight_line_error
 from . import baselines, datasets
 from .baselines import (  # noqa: F401
     binary_search,
@@ -78,10 +77,14 @@ class Kernel:
     result_key: Callable[[Any], int]
     bytes_per_element: int
 
-    @property
-    def static_capable(self) -> bool:
-        """Whether the lowering admits ``build_def()`` as straight-line stages."""
-        return straight_line_error(split_stages(self.build_def())) is None
+    def definition(self, policy: str, select: str = "arith") -> CoroutineDef:
+        """A fresh definition for ``policy``: the hinted one for hybrid, where
+        the kernel has one; otherwise ``build_def``, given ``select`` for bs."""
+        if policy == "hybrid" and self.build_hybrid_def is not None:
+            return self.build_hybrid_def()
+        if self.name == "bs":
+            return self.build_def(select)
+        return self.build_def()
 
 
 def _bs_queries(ds: SortedArray, count: int, seed: int) -> list[tuple]:

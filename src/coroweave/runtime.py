@@ -17,7 +17,6 @@ import contextlib
 from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 __all__ = [
-    "set_prefetch_hook",
     "prefetch_hook",
     "fmix32",
     "fmix64",
@@ -31,25 +30,18 @@ __all__ = [
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-_hook: Callable[[Any], None] | None = None
 mark: Callable[[Any], Any] = callable
-
-
-def set_prefetch_hook(hook: Callable[[Any], None] | None) -> None:
-    global _hook, mark
-    _hook = hook
-    mark = callable if hook is None else hook
 
 
 @contextlib.contextmanager
 def prefetch_hook(hook: Callable[[Any], None]):
-    """Install ``hook`` for the duration of a with-block."""
-    prev = _hook
-    set_prefetch_hook(hook)
+    """Install ``hook`` as ``mark`` for the duration of a with-block."""
+    global mark
+    prev, mark = mark, hook
     try:
         yield
     finally:
-        set_prefetch_hook(prev)
+        mark = prev
 
 
 def fmix32(h: int) -> int:

@@ -5,6 +5,7 @@ so the whole module stays well under a second.
 """
 
 import csv
+import dataclasses
 import io
 import json
 
@@ -58,8 +59,13 @@ class TestBenchConfig:
 
     @pytest.mark.parametrize("policy", ["static", "hybrid"])
     def test_branchy_kernel_rejects_lockstep_policies(self, policy):
-        with pytest.raises(ConfigError, match="data-dependent stage"):
-            BenchConfig(kernel="bt", policies=(policy,))
+        emit = {"static": codegen.emit_static, "hybrid": codegen.emit_hybrid}[policy]
+        with pytest.raises(codegen.CodegenError) as refusal:
+            emit(KERNELS["bt"].build_def(), SMALL["width"])
+        cfg = BenchConfig(kernel="bt", policies=(policy,), **SMALL)
+        with pytest.raises(ConfigError) as err:
+            run_bench(cfg)
+        assert str(err.value) == str(refusal.value)
 
     def test_kernel_all_filters_lockstep_instead_of_failing(self):
         cfg = BenchConfig(kernel="all", policies=POLICIES, **SMALL)
@@ -242,7 +248,31 @@ class TestCli:
         rc = main(["bench", "--kernel", "bt", "--policy", "static"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("coroweave: kernel 'bt' has data-dependent stage")
+        assert err.startswith("coroweave: bst_find: stage 0 reaches 1, 2 instead of state 1")
+
+    @pytest.mark.parametrize("emit", ["static", "hybrid"])
+    @pytest.mark.parametrize("kernel", ["bs", "bt", "sl", "sli", "ht"])
+    def test_bench_and_gen_refuse_in_the_same_words(self, kernel, emit, capsys):
+        size = ["--queries", "50", "--elements", "64"]
+        bench_rc = main(["bench", "--kernel", kernel, "--policy", emit, *size])
+        bench_err = capsys.readouterr().err
+        gen_rc = main(["gen", "--kernel", kernel, "--emit", emit])
+        gen_err = capsys.readouterr().err
+        if kernel == "ht":
+            assert (bench_rc, bench_err, gen_rc, gen_err) == (0, "", 0, "")
+        else:
+            assert bench_rc == gen_rc == 2
+            assert bench_err == gen_err
+            assert bench_err.startswith("coroweave: ") and bench_err.count("\n") == 1
+
+    def test_bench_refuses_before_building_a_dataset(self, monkeypatch):
+        def no_dataset(n, seed):
+            raise AssertionError("dataset built")
+
+        bt = dataclasses.replace(KERNELS["bt"], make_dataset=no_dataset)
+        monkeypatch.setitem(KERNELS, "bt", bt)
+        with pytest.raises(ConfigError, match="no statically scheduled stage prefix"):
+            run_bench(BenchConfig(kernel="bt", policies=("simplest", "hybrid"), **SMALL))
 
     def test_bench_unknown_kernel(self, capsys):
         rc = main(["bench", "--kernel", "nope"])

@@ -91,11 +91,11 @@ def hybrid_tail_def():
 
 
 def gnarly_def():
-    """Every routine-emitter wrapper at once.
+    """Every routine-emitter escape at once.
 
-    A do-while whose body continues (landing on the condition check),
-    a switch inside it whose arm breaks the switch, a continue routed
-    through the switch wrapper, and a conditional self tail-resume.
+    A do-while whose body continues (printed as the condition check), a
+    switch inside it whose arm breaks the switch, a continue routed
+    through the switch wrapper's flag, and a conditional self tail-resume.
     """
     return (
         coroutine("gnarly")
@@ -136,9 +136,8 @@ def countdown_def():
 def nested_countdown_def():
     """The countdown, resuming from inside a switch in a do-while in a while.
 
-    The switch arm that breaks wraps the switch in a one-shot loop, and
-    the do-while's continue wraps its body in another, so the resume
-    has four Python loops to escape.
+    The switch arm that breaks wraps the switch in a one-shot loop, so
+    the resume has three Python loops to escape.
     """
     return (
         coroutine("drain").result("int", "res").arg("int", "x").arg("int", "acc")
@@ -956,7 +955,7 @@ class TestSharedLane:
 # SHA-256 over every shape of the kernel definitions and the helper
 # definitions in this file.  A change that alters generated text (the
 # banner's version included) updates it and says so in CHANGES.md.
-EMIT_DIGEST = "2d14a69f2074ffc187b82eb846385878d8e85e9c032c5d076be509cc66a33158"
+EMIT_DIGEST = "9ab9a4f9bb39052e844ec745fd7dbf5d15b64f063b72358f18051c7844064373"
 
 DIGEST_DEFS = {
     **{k: KERNELS[k].build_def for k in sorted(KERNELS)},

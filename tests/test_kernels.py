@@ -12,7 +12,8 @@ from itertools import count
 
 import pytest
 
-from coroweave import emit_dynamic, emit_routine, load_unit
+from coroweave import emit_dynamic, emit_routine, emit_static, load_unit
+from coroweave.codegen import CodegenError
 from coroweave.kernels import (
     KERNELS,
     fold_checksum,
@@ -585,8 +586,23 @@ class TestKernelTable:
             assert k.bytes_per_element > 0
 
     def test_static_capability(self):
-        assert [n for n, k in KERNELS.items() if k.static_capable] == ["ht"]
+        def admits(k):
+            try:
+                emit_static(k.build_def(), 4)
+            except CodegenError:
+                return False
+            return True
+
+        assert [n for n, k in KERNELS.items() if admits(k)] == ["ht"]
         assert [n for n, k in KERNELS.items() if k.build_hybrid_def] == ["ht"]
+
+    def test_definition_per_policy(self):
+        ht, bs = KERNELS["ht"], KERNELS["bs"]
+        assert ht.definition("hybrid") == ht.build_hybrid_def()
+        assert ht.definition("static") == ht.build_def()
+        assert bs.definition("hybrid", "ternary") == bs.build_def("ternary")
+        assert bs.definition("simplest") == bs.build_def("arith")
+        assert bs.definition("simplest", "ternary") != bs.definition("simplest")
 
     def test_result_keys_fold_nodes_to_ints(self, tree):
         rk = KERNELS["bt"].result_key

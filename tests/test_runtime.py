@@ -10,7 +10,6 @@ from coroweave.runtime import (
     fmix32,
     fmix64,
     prefetch_hook,
-    set_prefetch_hook,
 )
 
 
@@ -104,12 +103,9 @@ class TestPrefetchHook:
 
     def test_hook_sees_addresses(self):
         seen = []
-        set_prefetch_hook(seen.append)
-        try:
+        with prefetch_hook(seen.append):
             runtime.mark(41)
             runtime.mark("p")
-        finally:
-            set_prefetch_hook(None)
         assert seen == [41, "p"]
         runtime.mark(999)
         assert seen == [41, "p"]
@@ -132,7 +128,7 @@ class TestPrefetchHook:
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
-        assert runtime._hook is None
+        assert runtime.mark is callable
 
 
 def _generated_classes():
@@ -181,7 +177,7 @@ def _kernel_runs():
 
 
 class TestMarkBinding:
-    """Marked loads call ``runtime.mark``, rebound by ``set_prefetch_hook``."""
+    """Marked loads call ``runtime.mark``, rebound by ``prefetch_hook``."""
 
     def test_unit_loaded_before_the_hook_reports_every_address(self):
         from coroweave import SchedulerConfig, emit_dynamic, interleave_map, load_unit
@@ -219,7 +215,7 @@ class TestMarkBinding:
             if event == "call":
                 frames.append(frame.f_code)
 
-        assert runtime._hook is None
+        assert runtime.mark is callable
         sys.setprofile(profile)
         try:
             # each instance's generator, stepped without step()'s frame
@@ -250,7 +246,7 @@ class TestMarkBinding:
         from coroweave import emit_dynamic, load_unit
         from coroweave.dsl import coroutine, prefetch as mark_stmt, yield_
 
-        assert runtime._hook is None
+        assert runtime.mark is callable
         runtime.mark(Hostile())
         cdef = coroutine("touch").arg("object", "p").body(mark_stmt("p"), yield_())
         inst = load_unit(emit_dynamic(cdef))()(Hostile())
