@@ -29,6 +29,7 @@ from .codegen import CodegenError, SourceText, emit_dynamic, emit_hybrid, emit_s
 from .dsl import CoroutineDef
 from .kernels import KERNELS, Kernel, fold_checksum
 from .schedulers import (
+    DEFAULT_WIDTH,
     SchedulerConfig,
     interleave_map,
     run_hybrid,
@@ -78,7 +79,7 @@ class EquivalenceError(RuntimeError):
 class BenchConfig:
     kernel: str = "all"
     policies: tuple[str, ...] = ("simplest",)
-    width: int = 48
+    width: int = DEFAULT_WIDTH
     seed: int = 1
     queries: int = 100_000
     elements: int | None = None
@@ -220,7 +221,7 @@ def _policy_runner(
 def _push_pull_map(sched: SchedulerConfig, cls: Any, queries: list[tuple]) -> list:
     """``run_push_pull`` over ``cls`` instances, accepting every result."""
     out: list[Any] = [None] * len(queries)
-    slot_task = [0] * sched.width
+    slot_task = [0] * min(sched.width, len(queries))
     pending = enumerate(queries)
 
     def push(slot: int) -> Any:

@@ -23,6 +23,7 @@ from .bench import (
 from .codegen import CodegenError, emit_dynamic, emit_hybrid, emit_routine, emit_static
 from .kernels import KERNELS
 from .lowering import LoweringError, analyse, fsm_dump, split_stages
+from .schedulers import DEFAULT_WIDTH
 
 __all__ = ["main"]
 
@@ -56,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="simplest",
         help="scheduling policy, 'all', or 'none' for baseline only",
     )
-    b.add_argument("--width", type=int, default=48)
+    b.add_argument("--width", type=int, default=DEFAULT_WIDTH)
     b.add_argument("--seed", type=int, default=1)
     b.add_argument("--queries", type=int, default=100_000)
     b.add_argument("--elements", type=int, default=None)

@@ -38,10 +38,11 @@ class, or the function itself for ``emit_routine``.  Output is
 deterministic: equal definitions produce identical bytes.
 
 The printed lane chunk (header plus ``_lane``) and the printed routine
-are kept on the definition object (``CoroutineDef._printed``), each
-with its code object once first loaded.  Like the analysis record,
-they are keyed by the object's identity, never by its content: an
-equal definition built separately prints and compiles its own.  So a
+are kept on the definition object, each with its code object once
+first loaded: ``CoroutineDef.memo`` keeps them under "lane" and
+"routine", beside the analysis record.  Like that record, they are
+keyed by the object's identity, never by its content: an equal
+definition built separately prints and compiles its own.  So a
 definition's lane is printed and compiled once, however many shapes
 and widths are emitted and loaded from it.
 """
@@ -55,7 +56,7 @@ from typing import Any
 
 from . import __version__, dsl
 from .dsl import CoroutineDef, DeclKind
-from .lowering import analyse
+from .lowering import Analysis, analyse
 
 __all__ = [
     "CodegenError",
@@ -81,11 +82,10 @@ class _Chunk:
     the unit's text.
     """
 
-    __slots__ = ("name", "header", "text", "lines", "code")
+    __slots__ = ("name", "text", "lines", "code")
 
     def __init__(self, name: str, header: str, body: str) -> None:
         self.name = name
-        self.header = header
         self.text = header + "\n\n" + body
         self.lines = self.text.count("\n")
         self.code = None
@@ -114,10 +114,6 @@ class SourceText:
     entry: str
     chunk: _Chunk
     factory: str = ""
-
-    @property
-    def header(self) -> str:
-        return self.chunk.header
 
     @property
     def text(self) -> str:
@@ -180,16 +176,19 @@ def load_unit(src: SourceText) -> Any:
 # -- shared emission helpers
 
 
-def _chunk_of(cdef: CoroutineDef, kind: str, print_chunk) -> _Chunk:
-    """``print_chunk(cdef)``, made once per definition object and kept on it."""
-    printed = cdef._printed
-    if printed is None:
-        printed = {}
-        object.__setattr__(cdef, "_printed", printed)
-    chunk = printed.get(kind)
-    if chunk is None:
-        chunk = printed[kind] = print_chunk(cdef)
-    return chunk
+def _check_valid(cdef: CoroutineDef) -> Analysis:
+    """``cdef``'s analysis record, or CodegenError if it has diagnostics."""
+    rec = analyse(cdef)
+    if rec.diagnostics:
+        raise CodegenError(f"{cdef.name} does not validate: " + "; ".join(map(str, rec.diagnostics)))
+    return rec
+
+
+def _check_batch(cdef: CoroutineDef, width: int) -> Analysis:
+    """A batch emitter's first checks, width then validity; returns the analysis record."""
+    if width < 1:
+        raise CodegenError(f"{cdef.name}: width must be >= 1, got {width}")
+    return _check_valid(cdef)
 
 
 def _print_lane(cdef: CoroutineDef) -> _Chunk:
@@ -233,7 +232,7 @@ def _factory(cdef: CoroutineDef, name: str, base: str, cls: str, consts: str = "
 
 def _emit_batch(cdef: CoroutineDef, name: str, cls: str, consts: str) -> SourceText:
     """The lane chunk, then the batch factory ``name``."""
-    return SourceText(name, _chunk_of(cdef, "lane", _print_lane),
+    return SourceText(name, cdef.memo("lane", _print_lane),
                       _factory(cdef, name, "BatchUnit", cls, consts))
 
 
@@ -250,7 +249,7 @@ def emit_dynamic(cdef: CoroutineDef) -> SourceText:
     nothing once the chunk has been compiled.
     """
     _check_valid(cdef)
-    return SourceText(f"make_{cdef.name}", _chunk_of(cdef, "lane", _print_lane))
+    return SourceText(f"make_{cdef.name}", cdef.memo("lane", _print_lane))
 
 
 # -- static and hybrid (one generator per lane)
@@ -263,10 +262,7 @@ def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
     stage k+1), so each ``super_step()`` takes every lane through one
     stage, and all lanes finish on the same call.
     """
-    if width < 1:
-        raise CodegenError(f"{cdef.name}: width must be >= 1, got {width}")
-    _check_valid(cdef)
-    err = analyse(cdef).straight_line_error
+    err = _check_batch(cdef, width).straight_line_error
     if err is not None:
         raise CodegenError(f"{cdef.name}: {err}")
     return _emit_batch(cdef, f"make_{cdef.name}_{width}",
@@ -280,10 +276,7 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
     hinted leading stages in lockstep; then ``step_slot(i)`` advances
     lane ``i`` alone and returns True at and after its completion.
     """
-    if width < 1:
-        raise CodegenError(f"{cdef.name}: width must be >= 1, got {width}")
-    _check_valid(cdef)
-    prefix = analyse(cdef).static_prefix_len
+    prefix = _check_batch(cdef, width).static_prefix_len
     if prefix < 1:
         raise CodegenError(
             f"{cdef.name}: no statically scheduled stage prefix; hint the"
@@ -296,16 +289,10 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
 # -- plain sequential routine and the shared statement emitter
 
 
-def _check_valid(cdef: CoroutineDef) -> None:
-    diags = analyse(cdef).diagnostics
-    if diags:
-        raise CodegenError(f"{cdef.name} does not validate: " + "; ".join(map(str, diags)))
-
-
 def emit_routine(cdef: CoroutineDef) -> SourceText:
     """The sequential twin as a plain function, without suspension points or marks."""
     _check_valid(cdef)
-    return SourceText(cdef.name, _chunk_of(cdef, "routine", _print_routine))
+    return SourceText(cdef.name, cdef.memo("routine", _print_routine))
 
 
 def _print_routine(cdef: CoroutineDef) -> _Chunk:
@@ -329,25 +316,14 @@ def _escapes(blk: dsl.Block, out: dict[int, int]) -> int:
     """Which of call, break and continue in ``blk`` reach the construct around it.
 
     A loop binds break and continue, a switch binds break.  ``out`` gets
-    the same answer for each compound statement's blocks, by its ``id``.
+    the same answer for each statement, by its ``id``: for a compound
+    one, what its blocks let out.
     """
     flags = 0
     for s in blk.stmts:
-        match s:
-            case dsl.Block():
-                blocks = [s]
-            case dsl.If(then=then, orelse=orelse):
-                blocks = [then] if orelse is None else [then, orelse]
-            case dsl.Switch(cases=cases, default=default):
-                blocks = [b for _, b in cases] + ([] if default is None else [default])
-            case dsl.While(body=body) | dsl.DoWhile(body=body):
-                blocks = [body]
-            case _:
-                flags |= _LEAVES.get(type(s), 0)
-                continue
-        inner = 0
-        for b in blocks:
-            inner |= _escapes(b, out)
+        inner = _LEAVES.get(type(s), 0)
+        for _, child in dsl.child_blocks(s):
+            inner |= _escapes(child, out)
         out[id(s)] = inner
         flags |= inner & _PASSES.get(type(s), -1)
     return flags

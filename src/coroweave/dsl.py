@@ -60,6 +60,7 @@ __all__ = [
     "store",
     "assign",
     "call",
+    "child_blocks",
     "validate",
     "to_builder_source",
     "parse_builder_source",
@@ -299,15 +300,44 @@ Stmt = (
 )
 
 
+def child_blocks(s) -> tuple[tuple[str, Block], ...]:
+    """The blocks statement ``s`` holds, each with the suffix naming it in a path.
+
+    The suffixes are ``.then``, ``.else``, ``.case[k]``, ``.default`` and
+    ``.do``; a bare block is its own one child, with the suffix "".  A
+    leaf holds none.  Every tree walk calls this once per statement, so
+    it tests the exact type rather than matching class patterns.
+    """
+    kind = type(s)
+    if kind is If:
+        return ((".then", s.then),) if s.orelse is None else ((".then", s.then), (".else", s.orelse))
+    if kind is While or kind is DoWhile:
+        return ((".do", s.body),)
+    if kind is Block:
+        return (("", s),)
+    if kind is Switch:
+        arms = tuple((f".case[{k}]", blk) for k, (_, blk) in enumerate(s.cases))
+        return arms if s.default is None else arms + ((".default", s.default),)
+    return ()
+
+
 @dataclass(frozen=True, slots=True)
 class CoroutineDef:
     name: str
     decls: tuple[Decl, ...]
     body: Block
-    # lowering.analyse's record for this very object; never compared
-    _analysis: object = field(default=None, init=False, repr=False, compare=False)
-    # codegen's printed lane and routine for this very object; never compared
-    _printed: object = field(default=None, init=False, repr=False, compare=False)
+    # records derived from this very object, by key (lowering's "analysis",
+    # codegen's "lane" and "routine"); never compared, and a copy made by
+    # dataclasses.replace starts empty
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def memo(self, key: str, make):
+        """``make(self)``, made on the first call with ``key`` and kept on this object."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = make(self)
+            return value
 
     @property
     def args(self) -> tuple[Decl, ...]:
@@ -614,20 +644,14 @@ class _Validator:
             self.mutable.discard(name)
 
     def stmt(self, s, path: str, *, loop_depth: int, switch_depth: int, tail: bool) -> None:
+        children = child_blocks(s)
+        if children:
+            loop_depth += isinstance(s, (While, DoWhile))
+            switch_depth += isinstance(s, Switch)
+            for suffix, blk in children:
+                self.block(blk, path + suffix, loop_depth=loop_depth, switch_depth=switch_depth)
+            return
         match s:
-            case Block():
-                self.block(s, path, loop_depth=loop_depth, switch_depth=switch_depth)
-            case If(then=then, orelse=orelse):
-                self.block(then, path + ".then", loop_depth=loop_depth, switch_depth=switch_depth)
-                if orelse is not None:
-                    self.block(orelse, path + ".else", loop_depth=loop_depth, switch_depth=switch_depth)
-            case Switch(cases=cases, default=default):
-                for k, (_, blk) in enumerate(cases):
-                    self.block(blk, f"{path}.case[{k}]", loop_depth=loop_depth, switch_depth=switch_depth + 1)
-                if default is not None:
-                    self.block(default, path + ".default", loop_depth=loop_depth, switch_depth=switch_depth + 1)
-            case While(body=body) | DoWhile(body=body):
-                self.block(body, path + ".do", loop_depth=loop_depth + 1, switch_depth=switch_depth)
             case Break():
                 if loop_depth == 0 and switch_depth == 0:
                     self.report(R_PLACEMENT, path, "break outside any loop or switch")

@@ -14,13 +14,6 @@ from typing import Any, Callable
 
 from ..dsl import CoroutineDef
 from . import baselines, datasets
-from .baselines import (  # noqa: F401
-    binary_search,
-    bst_find,
-    hashtable_find,
-    skiplist_advance,
-    skiplist_find,
-)
 from .datasets import (  # noqa: F401
     Bst,
     HashTable,

@@ -391,12 +391,13 @@ def _build_stages(blocks, state_entry, finished_id) -> tuple[Stage, ...]:
 
 def analyse(cdef: CoroutineDef) -> Analysis:
     """Validate and lower ``cdef`` on first use; the record stays on the object."""
-    if cdef._analysis is None:
-        diags = tuple(dsl.validate(cdef))
-        fsm = None if diags else _Lowerer(cdef).run()
-        rec = Analysis(diags, fsm, fsm and straight_line_error(fsm), fsm and static_prefix_len(fsm))
-        object.__setattr__(cdef, "_analysis", rec)
-    return cdef._analysis
+    return cdef.memo("analysis", _analyse)
+
+
+def _analyse(cdef: CoroutineDef) -> Analysis:
+    diags = tuple(dsl.validate(cdef))
+    fsm = None if diags else _Lowerer(cdef).run()
+    return Analysis(diags, fsm, fsm and straight_line_error(fsm), fsm and static_prefix_len(fsm))
 
 
 def split_stages(cdef: CoroutineDef) -> Fsm:
@@ -441,20 +442,8 @@ def compute_context(cdef: CoroutineDef, fsm: Fsm) -> ContextSpec:
 def _collect_block_vars(blk: dsl.Block, out: list[Decl]) -> None:
     out.extend(blk.decls)
     for s in blk.stmts:
-        match s:
-            case dsl.Block():
-                _collect_block_vars(s, out)
-            case dsl.If(then=then, orelse=orelse):
-                _collect_block_vars(then, out)
-                if orelse is not None:
-                    _collect_block_vars(orelse, out)
-            case dsl.Switch(cases=cases, default=default):
-                for _, b in cases:
-                    _collect_block_vars(b, out)
-                if default is not None:
-                    _collect_block_vars(default, out)
-            case dsl.While(body=body) | dsl.DoWhile(body=body):
-                _collect_block_vars(body, out)
+        for _, child in dsl.child_blocks(s):
+            _collect_block_vars(child, out)
 
 
 def fsm_dump(fsm: Fsm) -> str:

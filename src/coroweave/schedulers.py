@@ -125,7 +125,7 @@ def _groups(config: SchedulerConfig, unit: Any, inputs: Sequence[tuple], outputs
     unit_width = getattr(type(unit), "_WIDTH", None)
     if unit_width is not None and unit_width != width:
         raise ValueError(f"config width {width} != {what} unit width {unit_width}")
-    buf: list[Any] = [None] * width
+    buf: list[Any] = [None] * min(width, len(inputs))
     for g in range(0, len(inputs), width):
         group = inputs[g:g + width]
         unit.init(group)

@@ -223,7 +223,7 @@ class TestDeterminismAndShape:
         assert first.startswith("# Automatically generated by coroweave ")
         assert "'pipeline'" in first
         assert "Do not edit by hand" in first
-        assert "from coroweave.runtime import" in src.header
+        assert "from coroweave.runtime import" in src.text.split("\n\n", 1)[0]
 
     def test_entry_names(self):
         d = staged_def()
@@ -908,6 +908,9 @@ class TestSharedLane:
         assert emit_dynamic(b).chunk is not emit_dynamic(a).chunk
         assert emit_dynamic(c).chunk is not emit_dynamic(a).chunk
         assert emit_hybrid(c, 16).text == emit_hybrid(a, 16).text
+        # lowering's record lives in the same per-object memo
+        assert lowering.analyse(a) is lowering.analyse(a)
+        assert lowering.analyse(c) is not lowering.analyse(a)
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(defgen.coroutine_defs(), defgen.straight_line_defs(),

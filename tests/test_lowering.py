@@ -20,14 +20,18 @@ from coroweave import (
 from coroweave.dsl import (
     YieldHint,
     assign,
+    block,
     break_,
     call,
     coroutine,
+    do_,
     if_,
     load,
+    opaque,
     return_,
     store,
     switch_,
+    validate,
     while_,
     yield_,
 )
@@ -73,6 +77,25 @@ def test_kernel_context_golden(name):
     )
 
 
+# The blocks of ``every_compound``'s tree, outermost first.
+COMPOUND_BLOCKS = ("body", "then", "case0", "case1", "default", "else", "while", "do", "block")
+
+
+def every_compound(marked, tail):
+    """One compound statement of each kind, nested; block ``marked`` ends with ``tail``."""
+
+    def items(label, *inner):
+        return (*inner, *tail) if label == marked else inner
+
+    loop = while_("c").do_(*items("while", do_(*items("do", block(*items("block")))).while_("d")))
+    arms = (
+        switch_("b").case_("0", *items("case0")).case_("1", *items("case1")).default_(*items("default"))
+    )
+    return coroutine("k").body(
+        *items("body", if_("a").then_(*items("then", arms)).else_(*items("else", loop)))
+    )
+
+
 class TestSplitStages:
     def test_rejects_invalid_definition(self):
         bad = coroutine("k").body(break_())
@@ -91,6 +114,19 @@ class TestSplitStages:
         )
         fsm = split_stages(d)
         assert fsm.warnings == ("unreachable code dropped at body[0].case[0][1]",)
+
+    @pytest.mark.parametrize("marked", COMPOUND_BLOCKS)
+    def test_validator_and_lowering_name_paths_alike(self, marked):
+        # One block at a time: a return in every arm would close an
+        # if/else or a switch with a default, and move the drop point in
+        # the block around it onto its own return.
+        undeclared = every_compound(marked, (return_(), assign("zz", "1")))
+        dropped = every_compound(marked, (return_(), opaque("pass")))
+        r5 = [d.path for d in validate(undeclared) if d.rule == "R5"]
+        prefix = "unreachable code dropped at "
+        warned = [w.removeprefix(prefix) for w in split_stages(dropped).warnings]
+        assert len(r5) == 1
+        assert r5 == warned
 
     def test_entry_loop_header_is_reused(self):
         d = coroutine("k").arg("int", "i").body(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -36,6 +37,7 @@ from coroweave.dsl import (
     while_,
     yield_,
 )
+from coroweave.bench import _push_pull_map
 from coroweave.schedulers import DEFAULT_WIDTH
 
 
@@ -423,6 +425,43 @@ class TestHybrid:
     def test_empty_inputs(self):
         unit = load_unit(emit_hybrid(looped_tail_def(), 2))()()
         assert run_hybrid(SchedulerConfig(width=2), unit, [], []) == 0
+
+
+class TestWideConfigFewTasks:
+    """Buffers follow the task count, so a width far above it costs no memory."""
+
+    WIDTH = 10**7
+
+    def runner(self, policy, cfg):
+        d = traced_stage_def()
+        if policy == "push_pull":
+            # what bench's push_pull row runs
+            cls = load_unit(emit_dynamic(d))([])
+            return lambda tasks: _push_pull_map(cfg, cls, tasks)
+        emit, drive = {
+            "static": (emit_static, run_static_batch),
+            "hybrid": (emit_hybrid, run_hybrid),
+        }[policy]
+        unit = load_unit(emit(d, self.WIDTH))([])()
+
+        def run(tasks):
+            out = [None] * len(tasks)
+            drive(cfg, unit, tasks, out)
+            return out
+
+        return run
+
+    @pytest.mark.parametrize("policy", ["static", "hybrid", "push_pull"])
+    def test_peak_allocation_is_small(self, policy):
+        run = self.runner(policy, SchedulerConfig(width=self.WIDTH))
+        tracemalloc.start()
+        try:
+            results = run([(0,), (1,), (2,)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results == [0, 10, 20]
+        assert peak < 1 << 20
 
 
 class TestInterleaveMap:
