@@ -173,6 +173,8 @@ class Switch:
 
     def __post_init__(self) -> None:
         _check_expr(self.scrutinee, "scrutinee")
+        if not self.cases:
+            raise DslError("switch needs at least one case")
         for const, _ in self.cases:
             _check_expr(const, "case label")
 
@@ -532,8 +534,6 @@ class SwitchBuilder:
         return self
 
     def build(self) -> Switch:
-        if not self._cases:
-            raise DslError("switch_(...) needs at least one case")
         return Switch(self._scrutinee, tuple(self._cases), self._default)
 
 

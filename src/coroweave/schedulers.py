@@ -6,9 +6,11 @@ once, so the width should track what the memory subsystem can overlap,
 not how many tasks exist; 48 is a good default on recent server cores.
 
 ``run_push_pull`` sweeps dynamic (per-task) instances in slot order and
-refills a slot as soon as its task completes; ``run_simplest`` is a
-push/pull pair over it whose consumer always accepts, and
-``interleave_map`` runs the same sweep over lane generators.
+refills a slot as soon as its task completes; it resumes a generated
+instance's lane generator directly, as ``interleave_map`` resumes the
+lanes it builds, and steps any other instance through ``step()``.
+``run_simplest`` is a push/pull pair over it whose consumer always
+accepts.
 ``run_static_batch`` and ``run_hybrid`` share one loop over width
 groups of batch units and differ in how they drive a group: in
 lockstep, or a lockstep prefix then lane by lane.  Task identity is
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from .runtime import BatchCoroutine, StepCoroutine
+from .runtime import BatchCoroutine, DynamicUnit, StepCoroutine
 
 __all__ = [
     "SchedulerConfig",
@@ -89,33 +91,50 @@ def run_push_pull(
     eventually accept, or this never returns).  After the first None
     ``push`` is not called again, so fewer tasks than slots cost no idle
     slots, and each slot leaves the sweep once its last task is
-    accepted.  Returns the number of accepted tasks.
+    accepted.  An instance whose ``step`` is ``DynamicUnit.step`` is
+    advanced by resuming its lane generator ``_gen`` directly; any
+    other instance, a subclass that overrides ``step`` included, through
+    ``step()``.  Returns the number of accepted tasks.
     """
-    insts: list[StepCoroutine | None] = []
+    step = DynamicUnit.step
+    insts: list[StepCoroutine] = []
+    gens: list[Iterator[bool]] = []
     for i in range(config.width):
         inst = push(i)
         if inst is None:
             break
         insts.append(inst)
+        gens.append(inst._gen if type(inst).step is step else _steps(inst))
     more = len(insts) == config.width
     ids = list(range(len(insts)))
     accepted = 0
     while insts:
         gone = []
-        for j, inst in enumerate(insts):
-            if inst.step():
+        for j, g in enumerate(gens):
+            if next(g, True):
                 i = ids[j]
+                inst = insts[j]
                 if pull(i, inst):
                     accepted += 1
-                    insts[j] = inst = push(i) if more else None
+                    inst = push(i) if more else None
                     if inst is None:
                         more = False
                         gone.append(j)
+                        continue
+                    insts[j] = inst
                 else:
                     inst.reset()
+                # a new instance, or one that reset() rewound, has a new lane generator
+                gens[j] = inst._gen if type(inst).step is step else _steps(inst)
         for j in reversed(gone):
-            del insts[j], ids[j]
+            del insts[j], gens[j], ids[j]
     return accepted
+
+
+def _steps(inst: StepCoroutine) -> Iterator[bool]:
+    """Resume ``inst`` through ``step()``, as a generator that returns when it is done."""
+    while not inst.step():
+        yield False
 
 
 def _groups(config: SchedulerConfig, unit: Any, inputs: Sequence[tuple], outputs: list,

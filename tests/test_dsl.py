@@ -139,6 +139,12 @@ class TestBuilders:
         with pytest.raises(DslError, match="at least one case"):
             coroutine("k").body(switch_("x").default_(yield_()))
 
+    def test_switch_node_needs_a_case(self):
+        # the node itself refuses, not only the builder: an empty switch
+        # would print as an ``else:`` with no ``if`` before it
+        with pytest.raises(DslError, match="at least one case"):
+            dsl.Switch("1", (), Block((dsl.Return("1"),)))
+
     def test_let_at_body_level(self):
         # the body is itself a block, so let() declares a body-local there
         d = coroutine("k").body(let("int", "t", "0"), assign("t", "t + 1"))

@@ -6,6 +6,7 @@ under test.
 """
 
 import bisect
+import gc
 import random
 from array import array
 from itertools import count
@@ -268,6 +269,46 @@ class TestBuildersMatchReference:
         assert ht.keys_col == keys_col and ht.vals_col == vals_col
         assert ht.size_1 == len(keys_col) - 1
         assert ht.keys == ref_keys(n, random.Random(seed))
+
+
+class TestBuildersRestoreCollector:
+    """The linked builders pause the cyclic collector and leave it as they found it."""
+
+    @pytest.fixture
+    def collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("make", [make_bst, make_skiplist])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_kept(self, make, enabled, collector, monkeypatch):
+        seen = []
+        real_keys = datasets._keys
+
+        def keys(n, rng):
+            seen.append(gc.isenabled())
+            return real_keys(n, rng)
+
+        monkeypatch.setattr(datasets, "_keys", keys)
+        (gc.enable if enabled else gc.disable)()
+        make(64, SEED)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("make", [make_bst, make_skiplist])
+    def test_back_on_after_a_raise(self, make, collector, monkeypatch):
+        def keys(n, rng):
+            raise RuntimeError("boom")
+
+        gc.enable()
+        monkeypatch.setattr(datasets, "_keys", keys)
+        with pytest.raises(RuntimeError, match="boom"):
+            make(64, SEED)
+        assert gc.isenabled()
 
 
 class TestChecksum:

@@ -73,6 +73,13 @@ class Task:
         return self.tid * 10
 
 
+def count_suspensions(inst):
+    n = 0
+    while not inst.step():
+        n += 1
+    return n
+
+
 def traced_stage_def():
     """Two lockstep stages that log (stage, task) into a shared list."""
     return (
@@ -288,6 +295,68 @@ class TestRunPushPull:
         assert n == 9
         assert got == {tid: routine(tid) for tid in range(9)}
         assert rejected == {0, 3, 6}
+
+    def test_overridden_step_sees_every_resume(self):
+        # a subclass that overrides step() is stepped through it, not
+        # through the lane generator underneath
+        d = looped_tail_def()
+        routine = load_unit(emit_routine(d))
+        cls = load_unit(emit_dynamic(d))()
+        calls = Counter()
+
+        class Counted(cls):
+            __slots__ = ()
+
+            def step(self):
+                calls[self._args] += 1
+                return super().step()
+
+        queue = iter(range(9))
+        slot_task = {}
+        got = {}
+
+        def push(slot):
+            for slot_task[slot] in queue:  # takes at most one task
+                return Counted(slot_task[slot])
+            return None
+
+        def pull(slot, inst):
+            got[slot_task[slot]] = inst.result()
+            return True
+
+        assert run_push_pull(SchedulerConfig(width=4), push, pull) == 9
+        assert got == {tid: routine(tid) for tid in range(9)}
+        # a task resumes once per suspension, then once more to finish
+        assert calls == {(tid,): count_suspensions(cls(tid)) + 1 for tid in range(9)}
+
+    def test_generated_units_delivered_once_after_rejects(self):
+        # a rejected generated instance is reset, and its new lane
+        # generator, not the finished one, is what the sweep resumes
+        d = looped_tail_def()
+        routine = load_unit(emit_routine(d))
+        cls = load_unit(emit_dynamic(d))()
+        queue = iter(range(20))
+        slot_task = {}
+        offers = Counter()
+        got = {}
+
+        def push(slot):
+            for slot_task[slot] in queue:  # takes at most one task
+                return cls(slot_task[slot])
+            return None
+
+        def pull(slot, inst):
+            tid = slot_task[slot]
+            offers[tid] += 1
+            if tid % 3 == 0 and offers[tid] == 1:
+                return False
+            assert tid not in got
+            got[tid] = inst.result()
+            return True
+
+        assert run_push_pull(SchedulerConfig(width=4), push, pull) == 20
+        assert got == {tid: routine(tid) for tid in range(20)}
+        assert {tid for tid, c in offers.items() if c > 1} == set(range(0, 20, 3))
 
 
 class TestStepOrder:
