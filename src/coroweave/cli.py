@@ -22,7 +22,7 @@ from .bench import (
 )
 from .codegen import CodegenError, emit_dynamic, emit_hybrid, emit_routine, emit_static
 from .kernels import KERNELS
-from .lowering import LoweringError, analyse, fsm_dump, split_stages
+from .lowering import LoweringError, fsm_dump, split_stages
 from .schedulers import DEFAULT_WIDTH
 
 __all__ = ["main"]
@@ -154,12 +154,12 @@ def _cmd_gen(args) -> int:
     except (OSError, dsl.DslError) as e:
         print(f"coroweave: {e}", file=sys.stderr)
         return 2
-    rec = analyse(cdef)
-    if rec.diagnostics:
-        for d in rec.diagnostics:
+    diags = dsl.validate(cdef)
+    if diags:
+        for d in diags:
             print(d, file=sys.stderr)
         return 2
-    for w in rec.fsm.warnings:
+    for w in split_stages(cdef).warnings:
         print(f"coroweave: warning: {w}", file=sys.stderr)
     try:
         if args.emit == "routine":

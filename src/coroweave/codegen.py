@@ -28,8 +28,9 @@ constants.  The dynamic factory has no constants, so it is printed
 with the lane, and a dynamic unit is the lane chunk alone; each batch
 unit adds its own factory after it.  Marked loads call ``runtime.mark``,
 which costs no Python frame without a prefetch hook.  Every emitter
-reads the definition's analysis record (``lowering.analyse``), once
-per object.
+refuses a definition that ``dsl.validate`` rejects; only the batch
+emitters lower it (``lowering.split_stages``), to read whether it
+qualifies for their schedule.
 
 Every emitter returns a :class:`SourceText` whose ``entry`` names a
 zero-or-more-argument factory; calling the factory with the shared-arg
@@ -40,7 +41,7 @@ deterministic: equal definitions produce identical bytes.
 The printed lane chunk (header plus ``_lane``) and the printed routine
 are kept on the definition object, each with its code object once
 first loaded: ``CoroutineDef.memo`` keeps them under "lane" and
-"routine", beside the analysis record.  Like that record, they are
+"routine", beside the diagnostics and the FSM.  Like those, they are
 keyed by the object's identity, never by its content: an equal
 definition built separately prints and compiles its own.  So a
 definition's lane is printed and compiled once, however many shapes
@@ -56,7 +57,7 @@ from typing import Any
 
 from . import __version__, dsl
 from .dsl import CoroutineDef, DeclKind
-from .lowering import Analysis, analyse
+from .lowering import Fsm, split_stages, static_prefix_len, straight_line_error
 
 __all__ = [
     "CodegenError",
@@ -176,19 +177,19 @@ def load_unit(src: SourceText) -> Any:
 # -- shared emission helpers
 
 
-def _check_valid(cdef: CoroutineDef) -> Analysis:
-    """``cdef``'s analysis record, or CodegenError if it has diagnostics."""
-    rec = analyse(cdef)
-    if rec.diagnostics:
-        raise CodegenError(f"{cdef.name} does not validate: " + "; ".join(map(str, rec.diagnostics)))
-    return rec
+def _check_valid(cdef: CoroutineDef) -> None:
+    """CodegenError if ``cdef`` has diagnostics."""
+    diags = dsl.validate(cdef)
+    if diags:
+        raise CodegenError(f"{cdef.name} does not validate: " + "; ".join(map(str, diags)))
 
 
-def _check_batch(cdef: CoroutineDef, width: int) -> Analysis:
-    """A batch emitter's first checks, width then validity; returns the analysis record."""
+def _check_batch(cdef: CoroutineDef, width: int) -> Fsm:
+    """A batch emitter's first checks, width then validity; returns the FSM."""
     if width < 1:
         raise CodegenError(f"{cdef.name}: width must be >= 1, got {width}")
-    return _check_valid(cdef)
+    _check_valid(cdef)
+    return split_stages(cdef)
 
 
 def _print_lane(cdef: CoroutineDef) -> _Chunk:
@@ -262,7 +263,7 @@ def emit_static(cdef: CoroutineDef, width: int) -> SourceText:
     stage k+1), so each ``super_step()`` takes every lane through one
     stage, and all lanes finish on the same call.
     """
-    err = _check_batch(cdef, width).straight_line_error
+    err = straight_line_error(_check_batch(cdef, width))
     if err is not None:
         raise CodegenError(f"{cdef.name}: {err}")
     return _emit_batch(cdef, f"make_{cdef.name}_{width}",
@@ -276,7 +277,7 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
     hinted leading stages in lockstep; then ``step_slot(i)`` advances
     lane ``i`` alone and returns True at and after its completion.
     """
-    prefix = _check_batch(cdef, width).static_prefix_len
+    prefix = static_prefix_len(_check_batch(cdef, width))
     if prefix < 1:
         raise CodegenError(
             f"{cdef.name}: no statically scheduled stage prefix; hint the"

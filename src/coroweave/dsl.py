@@ -328,9 +328,9 @@ class CoroutineDef:
     name: str
     decls: tuple[Decl, ...]
     body: Block
-    # records derived from this very object, by key (lowering's "analysis",
-    # codegen's "lane" and "routine"); never compared, and a copy made by
-    # dataclasses.replace starts empty
+    # records derived from this very object, by key ("diagnostics" from
+    # validate, lowering's "fsm", codegen's "lane" and "routine"); never
+    # compared, and a copy made by dataclasses.replace starts empty
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def memo(self, key: str, make):
@@ -681,9 +681,11 @@ def validate(cdef: CoroutineDef) -> list[Diagnostic]:
     Rules: R1 break/continue placement, R2 valued return needs a result
     declaration, R3 calls are self tail-resumes with matching arity, R5
     load/assign destinations name a declared variable or arg in scope,
-    and R-dup rejects shadowing.  Pure: the tree is never modified.
+    and R-dup rejects shadowing.  The tree is never modified; the
+    diagnostics are found once per definition object, kept on it, and
+    each call returns a fresh list of them.
     """
-    return _Validator(cdef).run()
+    return list(cdef.memo("diagnostics", lambda d: tuple(_Validator(d).run())))
 
 
 # ---------------------------------------------------------------------------

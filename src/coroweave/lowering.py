@@ -8,10 +8,11 @@ no code.  A block list plus a state->entry-block table is enough for a
 native code generator to produce a portable dispatch loop.  The Python
 emitters print generators instead; here the stage graph decides which
 schedules a definition qualifies for (``straight_line_error``,
-``static_prefix_len``) and is what ``fsm_dump`` prints.  ``analyse``
-does all of this once per definition object and keeps the record on it.
-The sequential routine needs no lowering: ``codegen.emit_routine``
-prints the definition's own tree and leaves its suspension points out.
+``static_prefix_len``) and is what ``fsm_dump`` prints.  ``split_stages``
+lowers once per definition object and keeps the FSM on it.  Only the
+batch emitters, ``fsm_dump`` and ``compute_context`` read an FSM: the
+sequential routine and the dynamic unit are printed from the
+definition's own tree, so ``codegen`` never lowers for them.
 """
 
 from __future__ import annotations
@@ -19,16 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dsl
-from .dsl import CoroutineDef, Decl, DeclKind, Diagnostic, YieldHint
+from .dsl import CoroutineDef, Decl, DeclKind, YieldHint
 
 __all__ = [
     "LoweringError",
-    "Analysis",
     "CfgBlock",
     "Stage",
     "Fsm",
     "ContextSpec",
-    "analyse",
     "split_stages",
     "compute_context",
     "fsm_dump",
@@ -79,16 +78,6 @@ class Fsm:
     @property
     def suspension_count(self) -> int:
         return len(self.state_entry) - 1
-
-
-@dataclass(frozen=True, slots=True)
-class Analysis:
-    """A definition's diagnostics; the other fields are None unless it has none."""
-
-    diagnostics: tuple[Diagnostic, ...]
-    fsm: Fsm | None
-    straight_line_error: str | None
-    static_prefix_len: int | None
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,7 +240,9 @@ class _Lowerer:
                 open_ = self.lower_block(body, body_b, path + ".do", after, cond_b)
                 if open_ is not None:
                     self.seal(open_, ("goto", cond_b))
-                if self.terms[cond_b] is None:
+                # Only a continue or the body's fall-through reach the test;
+                # without either, only a break reaches ``after``.
+                if open_ is not None or self.targeted(cond_b):
                     self.seal(cond_b, ("br", cond, body_b, after))
                 return after if self.targeted(after) else None
             case dsl.Switch():
@@ -283,11 +274,13 @@ class _Lowerer:
         t_open = self.lower_block(s.then, then_b, path + ".then", brk, cont)
         if t_open is not None:
             self.seal(t_open, ("goto", after))
-        if else_b is not None:
-            e_open = self.lower_block(s.orelse, else_b, path + ".else", brk, cont)
-            if e_open is not None:
-                self.seal(e_open, ("goto", after))
-        return after if (s.orelse is None or self.targeted(after)) else None
+        if else_b is None:
+            return after
+        e_open = self.lower_block(s.orelse, else_b, path + ".else", brk, cont)
+        if e_open is not None:
+            self.seal(e_open, ("goto", after))
+        # Only the branch above or an open arm's goto can reach ``after``.
+        return after if (t_open is not None or e_open is not None) else None
 
     def lower_switch(self, s: dsl.Switch, cur: int, path: str, brk, cont):
         tmp = f"_sw{self.sw_count}"
@@ -389,27 +382,17 @@ def _build_stages(blocks, state_entry, finished_id) -> tuple[Stage, ...]:
     return tuple(stages)
 
 
-def analyse(cdef: CoroutineDef) -> Analysis:
-    """Validate and lower ``cdef`` on first use; the record stays on the object."""
-    return cdef.memo("analysis", _analyse)
-
-
-def _analyse(cdef: CoroutineDef) -> Analysis:
-    diags = tuple(dsl.validate(cdef))
-    fsm = None if diags else _Lowerer(cdef).run()
-    return Analysis(diags, fsm, fsm and straight_line_error(fsm), fsm and static_prefix_len(fsm))
-
-
 def split_stages(cdef: CoroutineDef) -> Fsm:
     """Lower a validated definition to its finite state machine.
 
     Raises LoweringError if the definition has validation diagnostics.
     Unreachable statements are dropped and reported in ``warnings``.
+    The FSM is built on first use and kept on the definition object.
     """
-    rec = analyse(cdef)
-    if rec.diagnostics:
-        raise LoweringError("definition does not validate: " + "; ".join(map(str, rec.diagnostics)))
-    return rec.fsm
+    diags = dsl.validate(cdef)
+    if diags:
+        raise LoweringError("definition does not validate: " + "; ".join(map(str, diags)))
+    return cdef.memo("fsm", lambda d: _Lowerer(d).run())
 
 
 def compute_context(cdef: CoroutineDef, fsm: Fsm) -> ContextSpec:

@@ -737,7 +737,7 @@ class TestHybridUnit:
             emit_hybrid(hybrid_tail_def(), -2)
 
 
-# -- the analysis record: one per definition object, never shared by structure
+# -- diagnostics and FSM: one each per definition object, never shared by structure
 
 
 SHAPES = [("routine", emit_routine, ()), ("dynamic", emit_dynamic, ())] + [
@@ -795,7 +795,7 @@ class TestAnalysisRecord:
 
     def test_one_validation_and_one_lowering_per_definition(self, monkeypatch):
         counts = {"validate": 0, "lower": 0}
-        validate, lower = dsl.validate, lowering._Lowerer.run
+        validate, lower = dsl._Validator.run, lowering._Lowerer.run
 
         def counted(name, fn):
             def call(*args):
@@ -803,7 +803,7 @@ class TestAnalysisRecord:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(dsl, "validate", counted("validate", validate))
+        monkeypatch.setattr(dsl._Validator, "run", counted("validate", validate))
         monkeypatch.setattr(lowering._Lowerer, "run", counted("lower", lower))
         d = hashtable_find_def(static_hints=True)
         split_stages(d)
@@ -813,6 +813,18 @@ class TestAnalysisRecord:
             emit_static(d, w)
             emit_hybrid(d, w)
         assert counts == {"validate": 1, "lower": 1}
+
+    @pytest.mark.parametrize("name", ["gnarly", "mixer", "pipeline"])
+    def test_routine_and_dynamic_units_never_lower(self, name, monkeypatch):
+        want = run_shape(emit_routine, (), load_unit(emit_routine(build(name))), FUZZ_TASKS)
+
+        def refuse(self):
+            raise AssertionError("lowered")
+
+        monkeypatch.setattr(lowering._Lowerer, "run", refuse)
+        d = fresh(build(name))
+        for emit in (emit_routine, emit_dynamic):
+            assert run_shape(emit, (), load_unit(emit(d)), FUZZ_TASKS) == want, emit.__name__
 
 
 # -- one printed and compiled lane per definition object
@@ -909,8 +921,8 @@ class TestSharedLane:
         assert emit_dynamic(c).chunk is not emit_dynamic(a).chunk
         assert emit_hybrid(c, 16).text == emit_hybrid(a, 16).text
         # lowering's record lives in the same per-object memo
-        assert lowering.analyse(a) is lowering.analyse(a)
-        assert lowering.analyse(c) is not lowering.analyse(a)
+        assert split_stages(a) is split_stages(a)
+        assert split_stages(c) is not split_stages(a)
 
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(defgen.coroutine_defs(), defgen.straight_line_defs(),

@@ -282,6 +282,22 @@ class TestValidate:
         validate(d)
         assert to_builder_source(d) == before
 
+    def test_diagnostics_found_once_per_object_and_copied_out(self, monkeypatch):
+        runs = []
+        run = dsl._Validator.run
+        monkeypatch.setattr(dsl._Validator, "run", lambda self: runs.append(1) or run(self))
+        d = coroutine("k").body(break_(), assign("m", "1"))
+        first, second = validate(d), validate(d)
+        assert first == second and first is not second
+        assert [x.rule for x in first] == ["R1", "R5"]
+        first.clear()
+        second.append("junk")
+        assert [x.rule for x in validate(d)] == ["R1", "R5"]
+        assert len(runs) == 1
+        copy = dataclasses.replace(d)
+        assert validate(copy) == validate(d)
+        assert len(runs) == 2
+
 
 class TestPrinter:
     def test_round_trip_kernels(self):

@@ -3,7 +3,8 @@
 import inspect
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis.strategies import one_of
 
 import defgen
 from coroweave import (
@@ -96,6 +97,14 @@ def every_compound(marked, tail):
     )
 
 
+def do_while_then_yield_def(*body):
+    """A do-while around ``body``, then a suspension and a return."""
+    return (
+        coroutine("k").result("int", "r").arg("int", "x")
+        .body(do_(*body).while_("x > 0"), yield_(), return_("2"))
+    )
+
+
 class TestSplitStages:
     def test_rejects_invalid_definition(self):
         bad = coroutine("k").body(break_())
@@ -114,6 +123,24 @@ class TestSplitStages:
         )
         fsm = split_stages(d)
         assert fsm.warnings == ("unreachable code dropped at body[0].case[0][1]",)
+
+    @pytest.mark.parametrize("leave, dump", [
+        ((return_("1"),), "state 0: [1 stmts] -> 1\n"),
+        ((if_("x > 9").then_(return_("1")), call("k", "x + 1")), "state 0: [3 stmts] -> 1\n"),
+    ], ids=["return", "tail-call"])
+    def test_unreachable_after_do_while_that_never_tests(self, leave, dump):
+        # the body never reaches its condition, so nothing after the loop runs
+        fsm = split_stages(do_while_then_yield_def(*leave))
+        assert fsm.warnings == ("unreachable code dropped at body[1]",)
+        assert fsm.suspension_count == 0
+        assert fsm_dump(fsm) == dump
+        assert straight_line_error(fsm) is None
+
+    def test_break_keeps_code_after_do_while(self):
+        fsm = split_stages(do_while_then_yield_def(break_()))
+        assert fsm.warnings == ()
+        assert fsm.suspension_count == 1
+        assert fsm_dump(fsm) == "state 0: [0 stmts] -> 1\nstate 1: [1 stmts] -> 2\n"
 
     @pytest.mark.parametrize("marked", COMPOUND_BLOCKS)
     def test_validator_and_lowering_name_paths_alike(self, marked):
@@ -224,6 +251,22 @@ class TestSplitStages:
         for st in fsm.stages:
             for s in st.successors:
                 assert 0 <= s <= fsm.finished_id
+
+    @settings(max_examples=60, deadline=None)
+    @given(one_of(defgen.coroutine_defs(), defgen.straight_line_defs(),
+                  defgen.hinted_prefix_defs()))
+    @example(do_while_then_yield_def(return_("1")))
+    def test_every_state_is_reachable(self, d):
+        """No orphan states: each one allocated is reached from state 0."""
+        fsm = split_stages(d)
+        reached = {0}
+        work = [0]
+        while work:
+            for s in fsm.stages[work.pop()].successors:
+                if s != fsm.finished_id and s not in reached:
+                    reached.add(s)
+                    work.append(s)
+        assert reached == set(range(len(fsm.state_entry)))
 
 
 class TestInterpretedFsm:
