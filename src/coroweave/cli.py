@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when execution or an equivalence check
-fails, 2 for configuration, validation, or usage errors.
+fails, 2 for configuration, validation, usage, or file input and output
+errors.
 """
 
 from __future__ import annotations
@@ -122,11 +123,8 @@ def _cmd_bench(args) -> int:
         print(f"coroweave: {e}", file=sys.stderr)
         return 2
     text = rows_to_csv(report.rows) if args.format == "csv" else rows_to_json(report.rows)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    if not _write(text, args.output):
+        return 2
     if args.verbose:
         for phase, ns in report.phases_ns.items():
             print(f"# {phase}: {ns / 1e6:.1f} ms", file=sys.stderr)
@@ -141,10 +139,24 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _write(text: str, output: str | None) -> bool:
+    """Write ``text`` to the file ``output``, or to stdout; False if the file cannot be written."""
+    if not output:
+        sys.stdout.write(text)
+        return True
+    try:
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"coroweave: {e}", file=sys.stderr)
+        return False
+    return True
+
+
 def _gen_def(args):
     if args.kernel is not None:
         return KERNELS[args.kernel].definition(args.emit, args.select)
-    with open(args.def_file) as fh:
+    with open(args.def_file, encoding="utf-8") as fh:
         return dsl.parse_builder_source(fh.read())
 
 
@@ -153,6 +165,9 @@ def _cmd_gen(args) -> int:
         cdef = _gen_def(args)
     except (OSError, dsl.DslError) as e:
         print(f"coroweave: {e}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as e:
+        print(f"coroweave: {args.def_file} is not UTF-8: {e}", file=sys.stderr)
         return 2
     diags = dsl.validate(cdef)
     if diags:
@@ -175,12 +190,7 @@ def _cmd_gen(args) -> int:
     except (CodegenError, LoweringError) as e:
         print(f"coroweave: {e}", file=sys.stderr)
         return 2
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return 0 if _write(text, args.output) else 2
 
 
 def _cmd_selftest() -> int:

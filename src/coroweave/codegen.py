@@ -130,10 +130,15 @@ def _header(name: str) -> str:
     )
 
 
-class _W:
-    """Indented line writer."""
+# CPython's tokenizer refuses a line indented 100 levels deep.
+_MAX_DEPTH = 99
 
-    def __init__(self) -> None:
+
+class _W:
+    """Indented line writer for definition ``name``'s text."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
         self.lines: list[str] = []
         self.depth = 0
 
@@ -150,6 +155,12 @@ class _W:
         return self
 
     def __enter__(self) -> None:
+        # every indented suite holds a line, so this is where one would be too deep
+        if self.depth == _MAX_DEPTH:
+            raise CodegenError(
+                f"{self.name}: a statement nests past Python's limit of"
+                f" {_MAX_DEPTH} indentation levels"
+            )
         self.depth += 1
 
     def __exit__(self, *exc) -> None:
@@ -201,7 +212,7 @@ def _print_lane(cdef: CoroutineDef) -> _Chunk:
     so the generator holds no reference back to the unit or scheduler
     that drives it.
     """
-    w = _W()
+    w = _W(cdef.name)
     w.put(f"def _lane({', '.join(d.name for d in cdef.shared_args)}):")
     with w.indent():
         w.put("def _run(_t, _out, _i):")
@@ -300,7 +311,7 @@ def _print_routine(cdef: CoroutineDef) -> _Chunk:
     params = [
         d.name for d in cdef.decls if d.kind in (DeclKind.ARG, DeclKind.SHARED_ARG)
     ]
-    w = _W()
+    w = _W(cdef.name)
     w.put(f"def {cdef.name}({', '.join(params)}):")
     with w.indent():
         w.put(f'"""Sequential form of the {cdef.name!r} coroutine def."""')
@@ -481,8 +492,6 @@ class _RoutineEmitter:
                 self.switch(s, brk, cont)
             case dsl.Call(args=args):
                 self.tail_call(args)
-            case _:
-                raise CodegenError(f"cannot emit {type(s).__name__} in a routine")
 
     def do_while(self, body: dsl.Block, cond: str, calls: int) -> None:
         # A continue must land on the condition check, which a bare

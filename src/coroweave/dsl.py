@@ -147,6 +147,17 @@ class Block:
     stmts: tuple = ()
     decls: tuple[Decl, ...] = ()
 
+    def __post_init__(self) -> None:
+        for s in self.stmts:
+            # by exact type, as an isinstance over 15 classes costs about 8x as much
+            if type(s) not in _BUILDERS:
+                raise DslError(f"not a statement: {s!r}")
+
+
+def _check_block(blk, what: str, optional: bool = False) -> None:
+    if type(blk) is not Block and not (optional and blk is None):
+        raise DslError(f"{what} must be a block, not {blk!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class If:
@@ -157,6 +168,8 @@ class If:
 
     def __post_init__(self) -> None:
         _check_expr(self.cond, "condition")
+        _check_block(self.then, "then arm")
+        _check_block(self.orelse, "else arm", optional=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,8 +188,10 @@ class Switch:
         _check_expr(self.scrutinee, "scrutinee")
         if not self.cases:
             raise DslError("switch needs at least one case")
-        for const, _ in self.cases:
+        for const, blk in self.cases:
             _check_expr(const, "case label")
+            _check_block(blk, "case body")
+        _check_block(self.default, "switch default", optional=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,6 +201,7 @@ class While:
 
     def __post_init__(self) -> None:
         _check_expr(self.cond, "condition")
+        _check_block(self.body, "loop body")
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,6 +210,7 @@ class DoWhile:
     cond: str
 
     def __post_init__(self) -> None:
+        _check_block(self.body, "loop body")
         _check_expr(self.cond, "condition")
 
 
@@ -296,12 +313,6 @@ class Call:
             _check_expr(a, "call argument")
 
 
-Stmt = (
-    Opaque | Block | If | Switch | While | DoWhile | Break | Continue
-    | Return | Yield | Prefetch | Load | Store | Assign | Call
-)
-
-
 def child_blocks(s) -> tuple[tuple[str, Block], ...]:
     """The blocks statement ``s`` holds, each with the suffix naming it in a path.
 
@@ -332,6 +343,9 @@ class CoroutineDef:
     # validate, lowering's "fsm", codegen's "lane" and "routine"); never
     # compared, and a copy made by dataclasses.replace starts empty
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_block(self.body, "coroutine body")
 
     def memo(self, key: str, make):
         """``make(self)``, made on the first call with ``key`` and kept on this object."""
@@ -372,9 +386,8 @@ def _as_stmt(item):
         raise DslError("do_(...) block is missing its trailing .while_(cond)")
     if isinstance(item, Decl):
         raise DslError("declarations belong in block(let(...), ...) or the coroutine builder")
-    if isinstance(item, Stmt):
-        return item
-    raise DslError(f"not a statement: {item!r}")
+    # Block refuses anything else
+    return item
 
 
 def _make_block(items) -> Block:
@@ -691,8 +704,9 @@ def validate(cdef: CoroutineDef) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Builder source: the printer, and a parser that admits only builder calls
 
-# The statement builders by the node each builds.  The printer names a
-# leaf's builder from here; the parser calls these, coroutine and let,
+# The statement builders by the node each builds; its keys are the
+# statement classes, and a block holds nothing else.  The printer names
+# a leaf's builder from here; the parser calls these, coroutine and let,
 # and no other function.
 _BUILDERS = {
     Block: block, If: if_, Switch: switch_, While: while_, DoWhile: do_,
@@ -743,8 +757,6 @@ def _stmt(s, indent: int) -> str:
             return f"while_({cond!r})" + _block_call(".do_", body, indent)
         case DoWhile(body=body, cond=cond):
             return _block_call("do_", body, indent, inline=False) + f".while_({cond!r})"
-    if type(s) not in _BUILDERS:
-        raise TypeError(f"unprintable node {s!r}")
     # A leaf's builder takes the leaf's fields in order, defaults last: a
     # default is left out, a true flag is passed by name, a tuple is
     # splatted and an enum passes its value.
@@ -822,7 +834,9 @@ def parse_builder_source(text: str) -> CoroutineDef:
     try:
         cdef = _value(ast.parse(text, mode="eval").body, lines)
     except SyntaxError as e:
-        raise DslError(f"builder source {e.lineno}:{e.offset}: {e.msg}") from None
+        # a NUL byte is refused before the text has a position
+        where = "" if e.lineno is None else f" {e.lineno}:{e.offset}"
+        raise DslError(f"builder source{where}: {e.msg}") from None
     except (TypeError, RecursionError) as e:
         raise DslError(f"builder source: {e}") from None
     if not isinstance(cdef, CoroutineDef):

@@ -1,18 +1,21 @@
 """Lowering of coroutine definitions to yield-split state machines.
 
 ``split_stages`` flattens the structured statement tree into basic
-blocks with explicit terminators and allocates one resumption state per
-suspension point, in program order of first appearance.  State 0 is the
-entry; ``finished_id`` (== suspension count + 1) is a pseudo-state with
-no code.  A block list plus a state->entry-block table is enough for a
-native code generator to produce a portable dispatch loop.  The Python
+blocks with explicit terminators, in one linear pass, and allocates one
+resumption state per suspension point, in program order of first
+appearance.  State 0 is the entry; ``finished_id`` (== suspension count
++ 1, the last state plus one) is a pseudo-state with no code.  One rule
+decides reachability: the block after an if, a switch or a do-while,
+and a do-while's test, is live only if a ``goto`` or ``br`` targets it,
+and each target is recorded when its terminator is sealed, so no block
+is rescanned.  Blocks plus a state->entry-block table are enough for
+a native code generator to print a portable dispatch loop.  The Python
 emitters print generators instead; here the stage graph decides which
 schedules a definition qualifies for (``straight_line_error``,
-``static_prefix_len``) and is what ``fsm_dump`` prints.  ``split_stages``
-lowers once per definition object and keeps the FSM on it.  Only the
-batch emitters, ``fsm_dump`` and ``compute_context`` read an FSM: the
-sequential routine and the dynamic unit are printed from the
-definition's own tree, so ``codegen`` never lowers for them.
+``static_prefix_len``) and is what ``fsm_dump`` prints.  The FSM is
+lowered once per definition object and kept on it.  Only the batch
+emitters, ``fsm_dump`` and ``compute_context`` read it: the routine and
+the dynamic unit are printed from the definition's own tree.
 """
 
 from __future__ import annotations
@@ -109,6 +112,7 @@ class _Lowerer:
         self.state_entry: list[int] = []
         self.state_hints: list[YieldHint] = []
         self.warnings: list[str] = []
+        self.entered: set[int] = set()
         self.sw_count = 0
 
     # -- block plumbing
@@ -121,6 +125,17 @@ class _Lowerer:
     def seal(self, b: int, term: tuple) -> None:
         assert self.terms[b] is None
         self.terms[b] = term
+        if term[0] == "goto":
+            self.entered.add(term[1])
+        elif term[0] == "br":
+            self.entered.update(term[2:])
+
+    def close(self, open_: int | None, target: int) -> None:
+        if open_ is not None:
+            self.seal(open_, ("goto", target))
+
+    def live(self, b: int) -> int | None:
+        return b if b in self.entered else None
 
     def emit(self, b: int, op: tuple) -> None:
         self.ops[b].append(op)
@@ -129,15 +144,6 @@ class _Lowerer:
         # A block with no ops and no terminator can become a loop header
         # directly instead of chaining through a goto.
         return not self.ops[b] and self.terms[b] is None
-
-    def targeted(self, b: int) -> bool:
-        for t in self.terms:
-            match t:
-                case ("goto", x) if x == b:
-                    return True
-                case ("br", _, x, y) if b in (x, y):
-                    return True
-        return False
 
     def suspend(self, cur: int, hint: YieldHint) -> int:
         nb = self.new_block()
@@ -225,9 +231,7 @@ class _Lowerer:
                 body_b = self.new_block()
                 after = self.new_block()
                 self.seal(head, ("br", cond, body_b, after))
-                open_ = self.lower_block(body, body_b, path + ".do", after, head)
-                if open_ is not None:
-                    self.seal(open_, ("goto", head))
+                self.close(self.lower_block(body, body_b, path + ".do", after, head), head)
                 return after
             case dsl.DoWhile(body=body, cond=cond):
                 if self.reusable(cur):
@@ -237,14 +241,12 @@ class _Lowerer:
                     self.seal(cur, ("goto", body_b))
                 cond_b = self.new_block()
                 after = self.new_block()
-                open_ = self.lower_block(body, body_b, path + ".do", after, cond_b)
-                if open_ is not None:
-                    self.seal(open_, ("goto", cond_b))
+                self.close(self.lower_block(body, body_b, path + ".do", after, cond_b), cond_b)
                 # Only a continue or the body's fall-through reach the test;
                 # without either, only a break reaches ``after``.
-                if open_ is not None or self.targeted(cond_b):
+                if cond_b in self.entered:
                     self.seal(cond_b, ("br", cond, body_b, after))
-                return after if self.targeted(after) else None
+                return self.live(after)
             case dsl.Switch():
                 return self.lower_switch(s, cur, path, brk, cont)
             case dsl.Call(args=args):
@@ -259,7 +261,6 @@ class _Lowerer:
                     self.emit(cur, ("assign", d.name, t))
                 self.seal(cur, ("goto", self.state_entry[0]))
                 return None
-        raise LoweringError(f"cannot lower {type(s).__name__} at {path}")
 
     def lower_if(self, s: dsl.If, cur: int, path: str, brk, cont):
         cond = s.cond
@@ -271,16 +272,10 @@ class _Lowerer:
         else_b = self.new_block() if s.orelse is not None else None
         after = self.new_block()
         self.seal(cur, ("br", cond, then_b, else_b if else_b is not None else after))
-        t_open = self.lower_block(s.then, then_b, path + ".then", brk, cont)
-        if t_open is not None:
-            self.seal(t_open, ("goto", after))
-        if else_b is None:
-            return after
-        e_open = self.lower_block(s.orelse, else_b, path + ".else", brk, cont)
-        if e_open is not None:
-            self.seal(e_open, ("goto", after))
-        # Only the branch above or an open arm's goto can reach ``after``.
-        return after if (t_open is not None or e_open is not None) else None
+        self.close(self.lower_block(s.then, then_b, path + ".then", brk, cont), after)
+        if else_b is not None:
+            self.close(self.lower_block(s.orelse, else_b, path + ".else", brk, cont), after)
+        return self.live(after)
 
     def lower_switch(self, s: dsl.Switch, cur: int, path: str, brk, cont):
         tmp = f"_sw{self.sw_count}"
@@ -296,35 +291,19 @@ class _Lowerer:
             else:
                 next_b = after
             self.seal(cmp_b, ("br", f"{tmp} == ({const})", case_b, next_b))
-            open_ = self.lower_block(blk, case_b, f"{path}.case[{k}]", after, cont)
-            if open_ is not None:
-                self.seal(open_, ("goto", after))
+            self.close(self.lower_block(blk, case_b, f"{path}.case[{k}]", after, cont), after)
             cmp_b = next_b
         if s.default is not None:
-            open_ = self.lower_block(s.default, cmp_b, path + ".default", after, cont)
-            if open_ is not None:
-                self.seal(open_, ("goto", after))
-        return after if (s.default is None or self.targeted(after)) else None
+            self.close(self.lower_block(s.default, cmp_b, path + ".default", after, cont), after)
+        return self.live(after)
 
-    # -- reachability pruning and the per-state stage view
+    # -- dropping the blocks control never entered, and the per-state stage view
 
     def finish(self) -> Fsm:
-        keep = set()
-        work = list(self.state_entry)
-        while work:
-            b = work.pop()
-            if b in keep:
-                continue
-            keep.add(b)
-            match self.terms[b]:
-                case ("goto", x):
-                    work.append(x)
-                case ("br", _, x, y):
-                    work.extend((x, y))
-        remap = {}
-        for old in range(len(self.terms)):
-            if old in keep:
-                remap[old] = len(remap)
+        # Lowering goes on only from a live block, and seals each one it
+        # enters, so the sealed blocks are the live ones.
+        keep = [b for b, t in enumerate(self.terms) if t is not None]
+        remap = {old: new for new, old in enumerate(keep)}
 
         def fix(term: tuple) -> tuple:
             match term:
@@ -335,8 +314,7 @@ class _Lowerer:
             return term
 
         blocks = tuple(
-            CfgBlock(tuple(self.ops[old]), fix(self.terms[old]))
-            for old in sorted(keep)
+            CfgBlock(tuple(self.ops[old]), fix(self.terms[old])) for old in keep
         )
         state_entry = tuple(remap[b] for b in self.state_entry)
         finished = len(state_entry)
@@ -443,16 +421,14 @@ def straight_line_error(fsm: Fsm) -> str | None:
     """Why this FSM cannot run as fused per-stage loops, or None if it can.
 
     Straight-line means stage k suspends only into stage k+1 and only
-    the last stage finishes, so a batch marches through the stages in
-    lockstep.
+    the last stage finishes (into ``finished_id``, its k+1), so a batch
+    marches through the stages in lockstep.
     """
-    last = len(fsm.state_entry) - 1
     for st in fsm.stages:
-        want = (st.id + 1,) if st.id < last else (fsm.finished_id,)
-        if st.successors != want:
+        if st.successors != (st.id + 1,):
             got = ", ".join(str(x) for x in st.successors) or "nothing"
             return (
-                f"stage {st.id} reaches {got} instead of state {want[0]}; "
+                f"stage {st.id} reaches {got} instead of state {st.id + 1}; "
                 "state transitions are data-dependent, so use the dynamic "
                 "or hybrid schedule instead"
             )
@@ -464,13 +440,11 @@ def static_prefix_len(fsm: Fsm) -> int:
 
     A stage counts while it is hinted static and flows unconditionally
     into the next stage; everything after runs under the dynamic
-    scheduler.
+    scheduler.  The last stage never counts: to flow only into
+    ``finished_id`` it must reach no yield, so its hint is DEFAULT.
     """
     n = 0
-    last = len(fsm.state_entry) - 1
     for st in fsm.stages:
-        if st.id >= last:
-            break
         if st.hint is not YieldHint.STATIC or st.successors != (st.id + 1,):
             break
         n += 1

@@ -405,6 +405,33 @@ class TestCli:
         assert rc == 0
         assert "make_skiplist_find" in dest.read_text()
 
+    def one_error_line(self, capsys, argv, want):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(want), err
+
+    def test_gen_refuses_a_def_file_that_is_not_utf8(self, tmp_path, capsys):
+        src = tmp_path / "latin1.py"
+        src.write_bytes("coroutine('k').body(opaque('x = \"\u00e9\"'))".encode("latin-1"))
+        self.one_error_line(capsys, ["gen", "--def", str(src)],
+                            f"coroweave: {src} is not UTF-8: 'utf-8' codec can't decode")
+
+    def test_gen_refuses_a_nul_byte_without_a_position(self, tmp_path, capsys):
+        src = tmp_path / "nul.py"
+        src.write_bytes(b"coroutine('k')\x00.body()")
+        self.one_error_line(capsys, ["gen", "--def", str(src)],
+                            "coroweave: builder source: source code string cannot contain null bytes")
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kernel", "bt"],
+        ["bench", "--kernel", "ht", "--policy", "none", "--queries", "10", "--elements", "16"],
+    ], ids=["gen", "bench"])
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys, argv):
+        dest = tmp_path / "missing" / "out.txt"
+        self.one_error_line(capsys, argv + ["-o", str(dest)],
+                            "coroweave: [Errno 2] No such file or directory")
+        assert not dest.parent.exists()
+
     def test_selftest_command(self, capsys):
         rc = main(["selftest"])
         assert rc == 0

@@ -49,6 +49,7 @@ from coroweave.dsl import (
 )
 from coroweave.kernels import KERNELS
 from coroweave.kernels.defs import binary_search_def, hashtable_find_def
+from fsm_interp import run_fsm
 
 
 def staged_def():
@@ -471,6 +472,70 @@ class TestRoutineControlFlow:
     def test_rejects_invalid_definition(self):
         with pytest.raises(CodegenError, match="does not validate"):
             emit_routine(coroutine("k").body(break_()))
+
+    def test_nesting_stops_at_pythons_indentation_limit(self):
+        # CPython refuses a line indented 100 levels deep.  The lane prints
+        # the body two levels in and the routine one, so ``n`` nested ifs
+        # put the innermost statements on level n + 2 and n + 1.
+        def nested(n):
+            inner = (yield_(), return_("x"))
+            for k in reversed(range(n)):
+                inner = (if_(f"x > {k}").then_(*inner),)
+            return coroutine("deep").result("int").arg("int", "x").body(*inner, return_("-1"))
+
+        refusal = "deep: a statement nests past Python's limit of 99 indentation levels"
+        with pytest.raises(CodegenError, match=refusal):
+            emit_dynamic(nested(98))
+        with pytest.raises(CodegenError, match=refusal):
+            emit_routine(nested(99))
+        d = nested(97)
+        routine = load_unit(emit_routine(d))
+        cls = load_unit(emit_dynamic(d))()
+        for x in (0, 50, 97, 200):
+            assert run_dynamic(cls, x) == routine(x) == (x if x > 96 else -1)
+        assert load_unit(emit_routine(nested(98)))(98) == 98
+
+    def test_restart_loop_returns_after_a_last_plain_statement(self):
+        # The tail resume sits inside an if, so the body is printed as a
+        # restart loop; its last statement is neither a return nor a call,
+        # so the loop needs its own trailing return to stop.
+        d = (
+            coroutine("countlog").arg("int", "n").arg("list", "log")
+            .body(
+                yield_("static"),
+                if_("n > 0").then_(opaque("log.append(-n)"), call("countlog", "n - 1", "log")),
+                opaque("log.append(n)"),
+            )
+        )
+        assert emit_routine(d).text.endswith("        log.append(n)\n        return\n")
+        ns = [0, 1, 3, 4, 7]
+        want = [[-k for k in range(n, 0, -1)] + [0] for n in ns]
+        fsm = split_stages(d)
+        logs = [[] for _ in ns]
+        for n, log in zip(ns, logs):
+            run_fsm(fsm, {"n": n, "log": log})
+        assert logs == want
+        # the loop back to state 0 leaves lockstep out; hybrid runs it after its prefix
+        for name, emit, args in [sh for sh in SHAPES if not sh[0].startswith(("static", "fsm"))]:
+            logs = [[] for _ in ns]
+            run_shape(emit, args, load_unit(emit(d, *args)), list(zip(ns, logs)))
+            assert logs == want, name
+
+    def test_empty_suites_print_inline_and_round_trip(self):
+        d = coroutine("k").result("int").arg("int", "x").variable("int", "i", "0").body(
+            if_("x > 0").then_(),
+            while_("(i := i + 1) < x").do_(),
+            return_("i"),
+        )
+        text = to_builder_source(d)
+        assert "  if_('x > 0').then_(),\n" in text
+        assert "  while_('(i := i + 1) < x').do_(),\n" in text
+        back = parse_builder_source(text)
+        assert back == d
+        routine = load_unit(emit_routine(back))
+        cls = load_unit(emit_dynamic(back))()
+        for x in (0, 1, 5):
+            assert run_dynamic(cls, x) == routine(x) == max(x, 1)
 
 
 class TestMemoryOps:
@@ -994,3 +1059,22 @@ def test_generated_text_is_pinned():
         for shape in SHAPES:
             h.update(f"{name}/{shape[0]}\n{emission(d, shape)}\n".encode())
     assert h.hexdigest() == EMIT_DIGEST
+
+
+def fsm_digest() -> str:
+    h = hashlib.sha256()
+    for name, make in DIGEST_DEFS.items():
+        fsm = split_stages(make())
+        facts = (fsm.blocks, fsm.state_entry, fsm.state_hints, fsm.stages, fsm.warnings)
+        h.update(f"{name}\n{facts!r}\n".encode())
+    return h.hexdigest()
+
+
+# SHA-256 over the lowering of every DIGEST_DEFS entry: its blocks,
+# state entries, hints, stages and warnings.  A change to how a
+# definition lowers updates it and says so in CHANGES.md.
+FSM_DIGEST = "3d647758a9e6214018159805d5eff02b20874287be535bbbe0d1225a9d35f507"
+
+
+def test_lowering_is_pinned():
+    assert fsm_digest() == FSM_DIGEST

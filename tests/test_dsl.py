@@ -145,6 +145,29 @@ class TestBuilders:
         with pytest.raises(DslError, match="at least one case"):
             dsl.Switch("1", (), Block((dsl.Return("1"),)))
 
+    @pytest.mark.parametrize("item", ["print(1)", 1, None])
+    def test_block_node_refuses_a_foreign_statement(self, item):
+        # Refused where the block is built: this once validated, and then
+        # lowering, the emitters and the printer each failed in their own words.
+        with pytest.raises(DslError, match="not a statement"):
+            CoroutineDef("k", (), Block((item,)))
+        with pytest.raises(DslError, match="not a statement"):
+            coroutine("k").body(yield_(), item)
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda: dsl.If("x", None), "then arm"),
+        (lambda: dsl.If("x", Block(), ()), "else arm"),
+        (lambda: dsl.While("x", (yield_(),)), "loop body"),
+        (lambda: dsl.DoWhile(None, "x"), "loop body"),
+        (lambda: dsl.Switch("x", (("0", None),)), "case body"),
+        (lambda: dsl.Switch("x", (("0", Block()),), [return_()]), "switch default"),
+        (lambda: CoroutineDef("k", (), (yield_(),)), "coroutine body"),
+    ], ids=["then", "else", "while", "do-while", "case", "default", "coroutine"])
+    def test_compound_node_refuses_a_missing_block(self, make, what):
+        # ``If("x", None)`` in a body once made validate raise AttributeError
+        with pytest.raises(DslError, match=f"{what} must be a block"):
+            make()
+
     def test_let_at_body_level(self):
         # the body is itself a block, so let() declares a body-local there
         d = coroutine("k").body(let("int", "t", "0"), assign("t", "t + 1"))

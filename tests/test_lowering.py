@@ -1,6 +1,7 @@
 """State splitting, context computation, and the sequential twin."""
 
 import inspect
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -386,3 +387,44 @@ class TestSchedulability:
             return_(),
         )
         assert static_prefix_len(split_stages(d)) == 1
+
+
+def lowering_line_events(d) -> int:
+    """Line events executed in ``coroweave/lowering.py`` while ``d`` is split."""
+    count = 0
+    target = split_stages.__code__.co_filename
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def scope(frame, event, arg):
+        return local if frame.f_code.co_filename == target else None
+
+    previous = sys.gettrace()
+    sys.settrace(scope)
+    try:
+        split_stages(d)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+SEQUENCES = {
+    "switch": lambda: switch_("x % 3").case_("0", assign("y", "1")).default_(assign("y", "2")),
+    "do-while": lambda: do_(assign("y", "y + 1")).while_("y < x"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SEQUENCES))
+def test_lowering_is_linear_in_statement_count(kind):
+    # Four times the statements must cost about four times the work;
+    # a rescan of every terminator per statement costs about sixteen.
+    def work(n):
+        stmts = [SEQUENCES[kind]() for _ in range(n)]
+        d = coroutine("k").arg("int", "x").variable("int", "y", "0").body(*stmts)
+        return lowering_line_events(d)
+
+    assert work(400) / work(100) < 5
