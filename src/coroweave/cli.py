@@ -114,6 +114,9 @@ def _cmd_bench(args) -> int:
     except ConfigError as e:
         print(f"coroweave: {e}", file=sys.stderr)
         return 2
+    # an unwritable output is refused before the run, not after it
+    if not _write("", args.output):
+        return 2
     try:
         report = run_bench(cfg)
     except EquivalenceError as e:

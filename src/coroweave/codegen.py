@@ -27,7 +27,9 @@ the shared args and returns ``_run``.  A two-line factory hands
 constants.  The dynamic factory has no constants, so it is printed
 with the lane, and a dynamic unit is the lane chunk alone; each batch
 unit adds its own factory after it.  Marked loads call ``runtime.mark``,
-which costs no Python frame without a prefetch hook.  Every emitter
+which costs no Python frame without a prefetch hook; a marked address
+other than a bare name is evaluated only while a hook is installed.
+Every emitter
 refuses a definition that ``dsl.validate`` rejects; only the batch
 emitters lower it (``lowering.split_stages``), to read whether it
 qualifies for their schedule.
@@ -147,9 +149,25 @@ class _W:
 
     def put_stmt_text(self, text: str) -> None:
         # Opaque statement text may span lines; re-home it at the
-        # current indent.
+        # current indent, counting the levels its own lines open as
+        # the tokenizer does, by a stack of indent widths.
+        widths = [0]
         for line in textwrap.dedent(text).strip("\n").splitlines():
+            if line.strip():
+                width = len(line) - len(line.lstrip())
+                while width < widths[-1]:
+                    widths.pop()
+                if width > widths[-1]:
+                    widths.append(width)
+                if self.depth + len(widths) - 1 > _MAX_DEPTH:
+                    self.too_deep("opaque text")
             self.put(line)
+
+    def too_deep(self, what: str) -> None:
+        raise CodegenError(
+            f"{self.name}: {what} nests past Python's limit of"
+            f" {_MAX_DEPTH} indentation levels"
+        )
 
     def indent(self) -> _W:
         return self
@@ -157,10 +175,7 @@ class _W:
     def __enter__(self) -> None:
         # every indented suite holds a line, so this is where one would be too deep
         if self.depth == _MAX_DEPTH:
-            raise CodegenError(
-                f"{self.name}: a statement nests past Python's limit of"
-                f" {_MAX_DEPTH} indentation levels"
-            )
+            self.too_deep("a statement")
         self.depth += 1
 
     def __exit__(self, *exc) -> None:
@@ -360,6 +375,12 @@ class _RoutineEmitter:
     ``cell``.  The routine (no ``cell``) leaves out yields, prefetch
     marks and the ``_addr``/``_cond`` lines of a ``yield_before`` load,
     store or if.
+
+    A lane prints each prefetch address as one mark line.  A bare name
+    is passed as it is, ``_rt.mark(n)``; any other address is guarded,
+    ``if _rt.mark is not callable: _rt.mark(<addr>)``, so that without
+    a hook it is never evaluated, as in the routine, while a hook
+    installed at any time still sees every address.
     """
 
     def __init__(self, w: _W, cdef: CoroutineDef, cell: str | None = None) -> None:
@@ -455,7 +476,9 @@ class _RoutineEmitter:
                 pass
             case dsl.Prefetch(addrs=addrs):
                 for a in addrs:
-                    w.put(f"_rt.mark({a})")
+                    # one line, so it opens no indentation level
+                    w.put(f"_rt.mark({a})" if a.isidentifier()
+                          else f"if _rt.mark is not callable: _rt.mark({a})")
             case dsl.Yield():
                 self.suspend()
             case dsl.Return(value=value):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import ast
 import builtins
 import enum
+import functools
 import io
 import keyword
 from dataclasses import dataclass, field, fields
@@ -238,6 +239,28 @@ class Yield:
     hint: YieldHint = YieldHint.DEFAULT
 
 
+# Expression nodes refused in a prefetch address.
+_EFFECTS = (ast.Call, ast.NamedExpr, ast.Yield, ast.YieldFrom, ast.Await)
+
+
+@functools.lru_cache(maxsize=1024)
+def _address_problem(text: str) -> str:
+    """Why ``text`` cannot be a prefetch address, or "" if it can.
+
+    Kept per text: definitions are rebuilt with the same addresses, and
+    a parse and a walk take about 20 us, some 30 times the rest of a
+    ``Prefetch``.
+    """
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as e:
+        return f"is not an expression: {e.msg}"
+    if any(isinstance(n, _EFFECTS) for n in ast.walk(tree)):
+        # a hooked mark evaluates the address, and the routine never does
+        return "has a call, walrus, yield or await; it must be free of side effects"
+    return ""
+
+
 @dataclass(frozen=True, slots=True)
 class Prefetch:
     """Issue non-binding prefetches for one or more locations."""
@@ -248,7 +271,9 @@ class Prefetch:
         if not self.addrs:
             raise DslError("prefetch needs at least one address expression")
         for a in self.addrs:
-            _check_expr(a, "prefetch address")
+            problem = _address_problem(_check_expr(a, "prefetch address"))
+            if problem:
+                raise DslError(f"prefetch address {a!r} {problem}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -440,6 +465,15 @@ def yield_(hint: str = "default") -> Yield:
 
 
 def prefetch(*addrs: str) -> Prefetch:
+    """Announce the locations ``addrs`` ahead of a yield.
+
+    The sequential routine leaves marks out, and a generated lane
+    evaluates a marked address only while a prefetch hook is installed
+    (a bare name is passed as it is).  So an address must be safe to
+    evaluate: a call, walrus, yield or await in one is refused, and
+    under a hook an address that raises, such as an index past the
+    end, still raises.
+    """
     return Prefetch(tuple(addrs))
 
 

@@ -14,7 +14,11 @@ by construction:
 
 Every variable is initialized, every expression is total over ints,
 and the coroutine takes a single int arg ``x``, so a generated def can
-be both lowered and executed.
+be both lowered and executed.  Prefetch addresses are bare names or
+side-effect-free expressions over names (``x + 1``, ``(x, v0)``), so
+both the unguarded and the guarded mark are drawn; ``mark_logging_twin``
+turns a definition's marks into appends to a shared list, whose
+routine then lists the addresses a hooked unit must report.
 
 ``coroutine_defs`` draws any control flow.  Two narrower strategies
 feed the lockstep emitters: ``straight_line_defs`` (yield-free segments
@@ -32,6 +36,7 @@ interleaving.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from hypothesis import strategies as st
@@ -92,6 +97,14 @@ def _expr(draw, pool: _Pool) -> str:
     return template.format(a=a, b=b)
 
 
+def _address(draw, pool: _Pool) -> str:
+    """A prefetch address: a bare name, or a side-effect-free expression over names."""
+    a = draw(st.sampled_from(pool.names))
+    b = draw(st.sampled_from(pool.names))
+    template = draw(st.sampled_from(["{a}", "{a} + 1", "({a}, {b})", "[{a}, {b}][{a} & 1]"]))
+    return template.format(a=a, b=b)
+
+
 def _cond(draw, pool: _Pool) -> str:
     a = draw(st.sampled_from(pool.names))
     b = draw(st.sampled_from(pool.names + ["1", "4"]))
@@ -122,7 +135,7 @@ def _stmt(draw, pool: _Pool, depth: int, in_loop: bool, yields: bool = True):
     if kind == "yield":
         return yield_(draw(st.sampled_from(HINTS)))
     if kind == "prefetch":
-        return prefetch(draw(st.sampled_from(pool.names)))
+        return prefetch(*(_address(draw, pool) for _ in range(draw(st.integers(1, 2)))))
     if kind == "opaque":
         dst = draw(st.sampled_from(pool.names[1:]))
         return opaque(f"{dst} = ({_expr(draw, pool)}) & 1023")
@@ -280,6 +293,36 @@ def count_tree_yields(node) -> int:
             return int(yb)
         case _:
             return 0
+
+
+def mark_logging_twin(d: CoroutineDef) -> CoroutineDef:
+    """``d`` whose marks append their addresses to a shared list instead.
+
+    Each prefetch becomes an append of its addresses, and each
+    ``yield_before`` load appends its address before it loads.  The
+    twin takes a last shared arg ``marks``; its routine reaches the same
+    statements as ``d``'s, so after a run ``marks`` holds, in order,
+    every address that a hooked unit of ``d`` reports.
+    """
+    twin = dataclasses.replace(
+        d, decls=(*d.decls, dsl.Decl(dsl.DeclKind.SHARED_ARG, "list", "marks")),
+        body=_log_marks(d.body))
+    assert not dsl.validate(twin), [str(x) for x in dsl.validate(twin)]
+    return twin
+
+
+def _log_marks(s):
+    if type(s) is dsl.Prefetch:
+        return opaque(f"marks.extend(({''.join(a + ', ' for a in s.addrs)}))")
+    if type(s) is dsl.Load and s.yield_before:
+        return block(opaque(f"marks.append({s.addr})"), s)
+    if type(s) is dsl.Block:
+        return dataclasses.replace(s, stmts=tuple(map(_log_marks, s.stmts)))
+    arms = {f.name: _log_marks(getattr(s, f.name)) for f in dataclasses.fields(s)
+            if type(getattr(s, f.name)) is dsl.Block}
+    if type(s) is dsl.Switch:
+        arms["cases"] = tuple((c, _log_marks(b)) for c, b in s.cases)
+    return dataclasses.replace(s, **arms)
 
 
 def declaration_chain(n: int) -> CoroutineDef:

@@ -40,7 +40,9 @@ def run_fsm(fsm: Fsm, args: dict, shared: dict | None = None,
                 case ("assign", dst, expr) | ("store", dst, expr):
                     exec(f"{dst} = {expr}", ns)
                 case ("prefetch", expr):
-                    runtime.mark(eval(expr, ns))
+                    # as in a lane: evaluated only while a hook listens
+                    if runtime.mark is not callable:
+                        runtime.mark(eval(expr, ns))
                 case ("result", expr):
                     result = eval(expr, ns)
                 case _:

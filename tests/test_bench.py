@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from coroweave import codegen, to_builder_source
+from coroweave import cli, codegen, to_builder_source
 from coroweave.bench import (
     CSV_COLUMNS,
     POLICIES,
@@ -426,7 +426,12 @@ class TestCli:
         ["gen", "--kernel", "bt"],
         ["bench", "--kernel", "ht", "--policy", "none", "--queries", "10", "--elements", "16"],
     ], ids=["gen", "bench"])
-    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys, argv):
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        def no_run(cfg):
+            raise AssertionError("the bench ran before its output was opened")
+
+        # the path is refused before any run
+        monkeypatch.setattr(cli, "run_bench", no_run)
         dest = tmp_path / "missing" / "out.txt"
         self.one_error_line(capsys, argv + ["-o", str(dest)],
                             "coroweave: [Errno 2] No such file or directory")

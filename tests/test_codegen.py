@@ -495,6 +495,26 @@ class TestRoutineControlFlow:
             assert run_dynamic(cls, x) == routine(x) == (x if x > 96 else -1)
         assert load_unit(emit_routine(nested(98)))(98) == 98
 
+    @pytest.mark.parametrize("shape", ["routine", "dynamic", "static5", "hybrid5"])
+    def test_opaque_text_stops_at_pythons_indentation_limit(self, shape):
+        # The opaque text's second line sits a level below its first:
+        # ``n`` nested ifs put it on level n + 3 in a lane, n + 2 in the routine.
+        _, emit, args = next(s for s in SHAPES if s[0] == shape)
+
+        def nested(n):
+            inner = (opaque("if x:\n    x = 1"),)
+            for k in reversed(range(n)):
+                inner = (if_(f"x > {k}").then_(*inner),)
+            return (coroutine("deep").result("int").arg("int", "x")
+                    .body(yield_("static"), *inner, return_("x")))
+
+        n = 97 if shape == "routine" else 96
+        with pytest.raises(CodegenError, match="deep: opaque text nests past Python's"
+                                               " limit of 99 indentation levels"):
+            emit(nested(n + 1), *args)
+        make = load_unit(emit(nested(n), *args))
+        assert run_shape(emit, args, make, [(0,), (n - 1,), (n,)]) == [0, n - 1, 1]
+
     def test_restart_loop_returns_after_a_last_plain_statement(self):
         # The tail resume sits inside an if, so the body is printed as a
         # restart loop; its last statement is neither a return nor a call,
@@ -1001,6 +1021,29 @@ class TestSharedLane:
                 continue
             assert run_shape(emit, args, load_unit(src), FUZZ_TASKS) == want, shape
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(defgen.coroutine_defs(), defgen.straight_line_defs(),
+                     defgen.hinted_prefix_defs()))
+    def test_hooked_marks_are_the_addresses_the_routine_reaches(self, d):
+        marks: list = []
+        logged = load_unit(emit_routine(defgen.mark_logging_twin(d)))
+        want = [logged(x, marks) for (x,) in FUZZ_TASKS]
+        assert run_shape(emit_routine, (), load_unit(emit_routine(d)), FUZZ_TASKS) == want
+        for shape, emit, args in SHAPES[1:-1]:
+            try:
+                make = load_unit(emit(d, *args))
+            except CodegenError:
+                continue
+            assert run_shape(emit, args, make, FUZZ_TASKS) == want, shape
+            seen: list = []
+            with runtime.prefetch_hook(seen.append):
+                assert run_shape(emit, args, make, FUZZ_TASKS) == want, shape
+            assert len(seen) == len(marks), shape
+            if emit is emit_dynamic:
+                # one task after another, so in the routine's order
+                assert seen == marks
+            assert sorted(map(repr, seen)) == sorted(map(repr, marks)), shape
+
     @pytest.mark.parametrize("shape", [s for s, *_ in SHAPES[:-1]])
     def test_tracebacks_index_the_unit_text(self, shape, monkeypatch):
         _, emit, args = next(s for s in SHAPES if s[0] == shape)
@@ -1035,7 +1078,7 @@ class TestSharedLane:
 # SHA-256 over every shape of the kernel definitions and the helper
 # definitions in this file.  A change that alters generated text (the
 # banner's version included) updates it and says so in CHANGES.md.
-EMIT_DIGEST = "9ab9a4f9bb39052e844ec745fd7dbf5d15b64f063b72358f18051c7844064373"
+EMIT_DIGEST = "f86adda1bedf8cab7924c2303a9f7de9882bacbd49d05463616adaefc283afb1"
 
 DIGEST_DEFS = {
     **{k: KERNELS[k].build_def for k in sorted(KERNELS)},
@@ -1059,6 +1102,21 @@ def test_generated_text_is_pinned():
         for shape in SHAPES:
             h.update(f"{name}/{shape[0]}\n{emission(d, shape)}\n".encode())
     assert h.hexdigest() == EMIT_DIGEST
+
+
+# SHA-256 over the dynamic units of bt, sl and sli, which mark only bare
+# names.  A bare-name mark prints unguarded, so these texts are the
+# same bytes as before the other marks were guarded.
+BARE_MARK_DIGEST = "7194b181056b9dae65abb79bb84f921010aa1dc44004a027dab2c03bc50776c2"
+
+
+def test_bare_name_marks_print_as_one_unguarded_call():
+    h = hashlib.sha256()
+    for k in ("bt", "sl", "sli"):
+        text = emit_dynamic(KERNELS[k].build_def()).text
+        assert "_rt.mark(n)" in text and "callable" not in text, k
+        h.update(text.encode())
+    assert h.hexdigest() == BARE_MARK_DIGEST
 
 
 def fsm_digest() -> str:

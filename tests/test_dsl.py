@@ -105,6 +105,18 @@ class TestBuilders:
         with pytest.raises(DslError, match="at least one address"):
             dsl.Prefetch(())
 
+    @pytest.mark.parametrize("addr", ["log.append(i)", "a[f(i)]", "(n := n + 1)",
+                                      "(yield)", "[(yield from g)]"])
+    def test_prefetch_address_must_be_free_of_side_effects(self, addr):
+        with pytest.raises(DslError, match="free of side effects"):
+            dsl.prefetch("n", addr)
+
+    def test_prefetch_address_must_parse(self):
+        with pytest.raises(DslError, match="'a\\[' is not an expression"):
+            dsl.prefetch("a[")
+        # subscripts, attributes, arithmetic and tuples are all fine
+        dsl.prefetch("a[base + half - 1]", "n.next", "(x, y)", "p.child[k < 3]")
+
     def test_load_destination_must_be_identifier(self):
         with pytest.raises(DslError, match="must be an identifier"):
             load("a[0]", "p")

@@ -372,12 +372,23 @@ class TestBinarySearch:
         cls = load_unit(emit_dynamic(KERNELS["bs"].build_def()))(
             TracedArray(arr.keys), arr.size
         )
-        yields = count_yields(cls, list(arr.keys)[37])
+        key = list(arr.keys)[37]
+        marks: list = []
+        with prefetch_hook(marks.append):
+            yields = count_yields(cls, key)
         # pairs: the index read by the prefetch evaluation is re-read by
         # the compare on the other side of the yield; one final direct read
         assert len(reads) == 2 * yields + 1
         for t in range(yields):
             assert reads[2 * t] == reads[2 * t + 1]
+            assert marks[t] == arr.keys[reads[2 * t]]
+        assert len(marks) == yields
+        # unhooked, no probe is evaluated twice: one compare per yield, one final read
+        compares = reads[1::2] + reads[-1:]
+        reads.clear()
+        assert count_yields(cls, key) == yields
+        assert len(reads) == yields + 1
+        assert reads == compares
 
 
 class TestBstFind:

@@ -252,3 +252,38 @@ class TestMarkBinding:
         inst = load_unit(emit_dynamic(cdef))()(Hostile())
         while not inst.step():
             pass
+
+    def test_an_address_is_evaluated_only_under_a_hook(self):
+        # a[i] raises for i == 7; the routine never evaluates a mark
+        from coroweave import (SchedulerConfig, TaskError, emit_dynamic, emit_routine,
+                               emit_static, interleave_map, load_unit, run_static_batch)
+        from coroweave.dsl import coroutine, prefetch as mark_stmt, return_, yield_
+
+        cdef = (coroutine("pf").result("int", "r").shared_arg("list", "a").arg("int", "i")
+                .body(mark_stmt("a[i]"), yield_(), return_("i")))
+        a = [1, 2, 3]
+        cfg = SchedulerConfig(width=2)
+        tasks = [(7,), (1,)]
+        assert [load_unit(emit_routine(cdef))(a, i) for (i,) in tasks] == [7, 1]
+        dynamic = load_unit(emit_dynamic(cdef))(a)
+        batch = load_unit(emit_static(cdef, 2))(a)()
+        assert interleave_map(cfg, dynamic, tasks) == [7, 1]
+        out = [None, None]
+        run_static_batch(cfg, batch, tasks, out)
+        assert out == [7, 1]
+        with prefetch_hook(lambda addr: None):
+            with pytest.raises(TaskError) as info:
+                interleave_map(cfg, dynamic, tasks)
+            assert isinstance(info.value.__cause__, IndexError)
+            assert info.value.task_index == 0
+            with pytest.raises(IndexError):
+                run_static_batch(cfg, batch, tasks, out)
+
+    def test_an_address_with_a_side_effect_is_refused(self):
+        from coroweave.dsl import DslError, parse_builder_source, prefetch as mark_stmt
+
+        with pytest.raises(DslError, match="free of side effects"):
+            mark_stmt("log.append(i)")
+        with pytest.raises(DslError, match="free of side effects"):
+            parse_builder_source("coroutine('k').arg('list', 'log')"
+                                 ".body(prefetch('log.append(1)'))")
