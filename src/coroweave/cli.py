@@ -114,9 +114,14 @@ def _cmd_bench(args) -> int:
     except ConfigError as e:
         print(f"coroweave: {e}", file=sys.stderr)
         return 2
-    # an unwritable output is refused before the run, not after it
-    if not _write("", args.output):
-        return 2
+    # an unwritable output is refused before the run, not after it;
+    # opened to append, an existing file keeps its rows if the run fails
+    if args.output:
+        try:
+            open(args.output, "a", encoding="utf-8").close()
+        except OSError as e:
+            print(f"coroweave: {e}", file=sys.stderr)
+            return 2
     try:
         report = run_bench(cfg)
     except EquivalenceError as e:

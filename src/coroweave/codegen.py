@@ -27,9 +27,8 @@ the shared args and returns ``_run``.  A two-line factory hands
 constants.  The dynamic factory has no constants, so it is printed
 with the lane, and a dynamic unit is the lane chunk alone; each batch
 unit adds its own factory after it.  Marked loads call ``runtime.mark``,
-which costs no Python frame without a prefetch hook; a marked address
-other than a bare name is evaluated only while a hook is installed.
-Every emitter
+which costs no Python frame without a prefetch hook; a prefetch
+address is evaluated only while a hook is installed.  Every emitter
 refuses a definition that ``dsl.validate`` rejects; only the batch
 emitters lower it (``lowering.split_stages``), to read whether it
 qualifies for their schedule.
@@ -376,8 +375,7 @@ class _RoutineEmitter:
     marks and the ``_addr``/``_cond`` lines of a ``yield_before`` load,
     store or if.
 
-    A lane prints each prefetch address as one mark line.  A bare name
-    is passed as it is, ``_rt.mark(n)``; any other address is guarded,
+    A lane prints each prefetch address as one guarded mark line,
     ``if _rt.mark is not callable: _rt.mark(<addr>)``, so that without
     a hook it is never evaluated, as in the routine, while a hook
     installed at any time still sees every address.
@@ -477,8 +475,7 @@ class _RoutineEmitter:
             case dsl.Prefetch(addrs=addrs):
                 for a in addrs:
                     # one line, so it opens no indentation level
-                    w.put(f"_rt.mark({a})" if a.isidentifier()
-                          else f"if _rt.mark is not callable: _rt.mark({a})")
+                    w.put(f"if _rt.mark is not callable: _rt.mark({a})")
             case dsl.Yield():
                 self.suspend()
             case dsl.Return(value=value):

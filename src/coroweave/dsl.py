@@ -248,8 +248,8 @@ def _address_problem(text: str) -> str:
     """Why ``text`` cannot be a prefetch address, or "" if it can.
 
     Kept per text: definitions are rebuilt with the same addresses, and
-    a parse and a walk take about 20 us, some 30 times the rest of a
-    ``Prefetch``.
+    a parse and a walk take about 20 us, some 40% of building bs's
+    definition.
     """
     try:
         tree = ast.parse(text, mode="eval")
@@ -468,11 +468,10 @@ def prefetch(*addrs: str) -> Prefetch:
     """Announce the locations ``addrs`` ahead of a yield.
 
     The sequential routine leaves marks out, and a generated lane
-    evaluates a marked address only while a prefetch hook is installed
-    (a bare name is passed as it is).  So an address must be safe to
-    evaluate: a call, walrus, yield or await in one is refused, and
-    under a hook an address that raises, such as an index past the
-    end, still raises.
+    evaluates a marked address only while a prefetch hook is installed.
+    So an address must be safe to evaluate: a call, walrus, yield or
+    await in one is refused, and under a hook an address that raises,
+    such as an index past the end, still raises.
     """
     return Prefetch(tuple(addrs))
 

@@ -3,8 +3,7 @@
 Generated code looks up ``mark`` here at every marked load.  Pure
 Python cannot issue a real cache-line prefetch, so by default it is the
 builtin ``callable``: no Python frame, no call into the address.  A
-marked address that is a bare name is passed to ``mark`` as it is; any
-other address is evaluated and passed only while ``mark`` is not
+prefetch address is evaluated and passed only while ``mark`` is not
 ``callable``, so without a hook it costs one attribute test and is
 never evaluated, as in the sequential routine.  A hook installed by
 tests or tracers becomes ``mark`` and sees the address stream (e.g. to

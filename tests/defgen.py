@@ -15,10 +15,10 @@ by construction:
 Every variable is initialized, every expression is total over ints,
 and the coroutine takes a single int arg ``x``, so a generated def can
 be both lowered and executed.  Prefetch addresses are bare names or
-side-effect-free expressions over names (``x + 1``, ``(x, v0)``), so
-both the unguarded and the guarded mark are drawn; ``mark_logging_twin``
-turns a definition's marks into appends to a shared list, whose
-routine then lists the addresses a hooked unit must report.
+side-effect-free expressions over names (``x + 1``, ``(x, v0)``);
+``mark_logging_twin`` turns a definition's marks into appends to a
+shared list, whose routine then lists the addresses a hooked unit must
+report.
 
 ``coroutine_defs`` draws any control flow.  Two narrower strategies
 feed the lockstep emitters: ``straight_line_defs`` (yield-free segments

@@ -437,6 +437,19 @@ class TestCli:
                             "coroweave: [Errno 2] No such file or directory")
         assert not dest.parent.exists()
 
+    def test_bench_output_survives_a_failed_run(self, tmp_path, capsys, monkeypatch):
+        def failing_run(cfg):
+            raise EquivalenceError("ht/simplest: results differ")
+
+        monkeypatch.setattr(cli, "run_bench", failing_run)
+        dest = tmp_path / "out.csv"
+        dest.write_text("earlier rows\n")
+        rc = main(["bench", "--kernel", "ht", "--policy", "none", "--queries", "10",
+                   "--elements", "16", "-o", str(dest)])
+        assert rc == 1
+        assert "equivalence failure" in capsys.readouterr().err
+        assert dest.read_text() == "earlier rows\n"
+
     def test_selftest_command(self, capsys):
         rc = main(["selftest"])
         assert rc == 0

@@ -253,14 +253,18 @@ class TestMarkBinding:
         while not inst.step():
             pass
 
-    def test_an_address_is_evaluated_only_under_a_hook(self):
-        # a[i] raises for i == 7; the routine never evaluates a mark
+    @pytest.mark.parametrize("addr, error", [("a[i]", IndexError), ("m", NameError)],
+                             ids=["index-past-the-end", "unset-name"])
+    def test_an_address_is_evaluated_only_under_a_hook(self, addr, error):
+        # a[7] is past the end and m is read before it is set; the
+        # routine never evaluates a mark
         from coroweave import (SchedulerConfig, TaskError, emit_dynamic, emit_routine,
                                emit_static, interleave_map, load_unit, run_static_batch)
-        from coroweave.dsl import coroutine, prefetch as mark_stmt, return_, yield_
+        from coroweave.dsl import assign, coroutine, prefetch as mark_stmt, return_, yield_
 
         cdef = (coroutine("pf").result("int", "r").shared_arg("list", "a").arg("int", "i")
-                .body(mark_stmt("a[i]"), yield_(), return_("i")))
+                .variable("int", "m")
+                .body(mark_stmt(addr), yield_(), assign("m", "i"), return_("m")))
         a = [1, 2, 3]
         cfg = SchedulerConfig(width=2)
         tasks = [(7,), (1,)]
@@ -274,9 +278,9 @@ class TestMarkBinding:
         with prefetch_hook(lambda addr: None):
             with pytest.raises(TaskError) as info:
                 interleave_map(cfg, dynamic, tasks)
-            assert isinstance(info.value.__cause__, IndexError)
+            assert isinstance(info.value.__cause__, error)
             assert info.value.task_index == 0
-            with pytest.raises(IndexError):
+            with pytest.raises(error):
                 run_static_batch(cfg, batch, tasks, out)
 
     def test_an_address_with_a_side_effect_is_refused(self):
