@@ -7,7 +7,7 @@ query.  Rows are deterministic in (kernel, seed, queries, elements):
 the checksum folds every result in query order.  The ``simplest`` row
 runs ``interleave_map``, which steps the unit's lane generators
 directly; the ``push_pull`` row steps instances through
-``run_push_pull``, with a consumer that accepts every result.
+``run_simplest``: ``run_push_pull``, with a consumer that accepts all.
 
 Python cannot overlap cache misses, so the throughput columns here
 measure scheduling overhead, not the memory-level parallelism the
@@ -22,7 +22,7 @@ import io
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from .codegen import CodegenError, SourceText, emit_dynamic, emit_hybrid, emit_static, load_unit
@@ -33,7 +33,7 @@ from .schedulers import (
     SchedulerConfig,
     interleave_map,
     run_hybrid,
-    run_push_pull,
+    run_simplest,
     run_static_batch,
 )
 
@@ -51,18 +51,6 @@ __all__ = [
 ]
 
 POLICIES = ("simplest", "push_pull", "static", "hybrid")
-
-CSV_COLUMNS = (
-    "kernel",
-    "variant",
-    "policy",
-    "width",
-    "seed",
-    "queries",
-    "ops_per_sec",
-    "total_ns",
-    "checksum",
-)
 
 DEFAULT_ELEMENTS = 1 << 14
 
@@ -120,6 +108,9 @@ class BenchRow:
 
     def as_dict(self) -> dict[str, Any]:
         return {c: getattr(self, c) for c in CSV_COLUMNS}
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRow))
 
 
 @dataclass
@@ -219,21 +210,18 @@ def _policy_runner(
 
 
 def _push_pull_map(sched: SchedulerConfig, cls: Any, queries: list[tuple]) -> list:
-    """``run_push_pull`` over ``cls`` instances, accepting every result."""
+    """``run_simplest`` over ``cls`` instances: ``run_push_pull``, accepting every result."""
     out: list[Any] = [None] * len(queries)
     slot_task = [0] * min(sched.width, len(queries))
-    pending = enumerate(queries)
 
-    def push(slot: int) -> Any:
-        for slot_task[slot], q in pending:  # takes at most one task
-            return cls(*q)
-        return None
+    def refill(slot: int, t: int) -> Any:
+        slot_task[slot] = t
+        return cls(*queries[t])
 
-    def pull(slot: int, inst: Any) -> bool:
+    def on_complete(slot: int, inst: Any) -> None:
         out[slot_task[slot]] = inst.result()
-        return True
 
-    run_push_pull(sched, push, pull)
+    run_simplest(sched, len(queries), refill, on_complete)
     return out
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import __version__, dsl
 from .bench import (
@@ -23,8 +24,8 @@ from .bench import (
 )
 from .codegen import CodegenError, emit_dynamic, emit_hybrid, emit_routine, emit_static
 from .kernels import KERNELS
+from .kernels.defs import SELECTS
 from .lowering import LoweringError, fsm_dump, split_stages
-from .schedulers import DEFAULT_WIDTH
 
 __all__ = ["main"]
 
@@ -43,6 +44,16 @@ def _parse_size(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not a size: {text!r}") from None
 
 
+def _policies(text: str) -> tuple[str, ...]:
+    return {"all": POLICIES, "none": ()}.get(text, (text,))
+
+
+# gen --emit's choices, but for "fsm"; the batch shapes are printed at --width
+_EMITTERS = {"routine": lambda cdef, width: emit_routine(cdef),
+             "dynamic": lambda cdef, width: emit_dynamic(cdef),
+             "static": emit_static, "hybrid": emit_hybrid}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="coroweave",
@@ -51,26 +62,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"coroweave {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    b = sub.add_parser("bench", help="run kernels and report throughput rows")
-    b.add_argument("--kernel", default="all", help="kernel name or 'all'")
-    b.add_argument(
-        "--policy",
-        default="simplest",
-        help="scheduling policy, 'all', or 'none' for baseline only",
-    )
-    b.add_argument("--width", type=int, default=DEFAULT_WIDTH)
-    b.add_argument("--seed", type=int, default=1)
-    b.add_argument("--queries", type=int, default=100_000)
-    b.add_argument("--elements", type=int, default=None)
-    b.add_argument(
-        "--size", type=_parse_size, default=None,
-        help="target dataset bytes (k/m/g suffixes), modeled per element",
-    )
-    b.add_argument("--select", choices=("arith", "ternary"), default="arith")
-    b.add_argument("--limit", type=int, default=8, help="hops for the advance kernel")
+    # each BenchConfig option is set only when given, so its default is the field's
+    b = sub.add_parser("bench", help="run kernels and report throughput rows",
+                       argument_default=argparse.SUPPRESS)
+    b.add_argument("--kernel", help="kernel name or 'all'")
+    b.add_argument("--policy", dest="policies", type=_policies, metavar="POLICY",
+                   help="scheduling policy, 'all', or 'none' for baseline only")
+    b.add_argument("--width", type=int)
+    b.add_argument("--seed", type=int)
+    b.add_argument("--queries", type=int)
+    b.add_argument("--elements", type=int)
+    b.add_argument("--size", dest="size_bytes", type=_parse_size, metavar="SIZE",
+                   help="target dataset bytes (k/m/g suffixes), modeled per element")
+    b.add_argument("--select", choices=SELECTS)
+    b.add_argument("--limit", type=int, help="hops for the advance kernel")
     b.add_argument("--format", choices=("csv", "json"), default="csv")
     b.add_argument("-o", "--output", default=None)
-    b.add_argument("-v", "--verbose", action="store_true")
+    b.add_argument("-v", "--verbose", action="store_true", default=False)
 
     g = sub.add_parser("gen", help="emit generated source for a definition")
     src = g.add_mutually_exclusive_group(required=True)
@@ -79,13 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--def", dest="def_file", default=None,
         help="file holding builder source for one definition",
     )
-    g.add_argument(
-        "--emit",
-        choices=("routine", "dynamic", "static", "hybrid", "fsm"),
-        default="dynamic",
-    )
+    g.add_argument("--emit", choices=(*_EMITTERS, "fsm"), default="dynamic")
     g.add_argument("--width", type=int, default=8)
-    g.add_argument("--select", choices=("arith", "ternary"), default="arith")
+    g.add_argument("--select", choices=SELECTS, default="arith")
     g.add_argument("-o", "--output", default=None)
 
     sub.add_parser("selftest", help="small equivalence pass over everything")
@@ -93,24 +97,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_bench(args) -> int:
-    if args.policy == "all":
-        policies: tuple[str, ...] = POLICIES
-    elif args.policy == "none":
-        policies = ()
-    else:
-        policies = (args.policy,)
+    given = {f.name: getattr(args, f.name) for f in fields(BenchConfig) if hasattr(args, f.name)}
     try:
-        cfg = BenchConfig(
-            kernel=args.kernel,
-            policies=policies,
-            width=args.width,
-            seed=args.seed,
-            queries=args.queries,
-            elements=args.elements,
-            size_bytes=args.size,
-            select=args.select,
-            limit=args.limit,
-        )
+        cfg = BenchConfig(**given)
     except ConfigError as e:
         print(f"coroweave: {e}", file=sys.stderr)
         return 2
@@ -185,16 +174,10 @@ def _cmd_gen(args) -> int:
     for w in split_stages(cdef).warnings:
         print(f"coroweave: warning: {w}", file=sys.stderr)
     try:
-        if args.emit == "routine":
-            text = emit_routine(cdef).text
-        elif args.emit == "dynamic":
-            text = emit_dynamic(cdef).text
-        elif args.emit == "static":
-            text = emit_static(cdef, args.width).text
-        elif args.emit == "hybrid":
-            text = emit_hybrid(cdef, args.width).text
-        else:
+        if args.emit == "fsm":
             text = fsm_dump(split_stages(cdef))
+        else:
+            text = _EMITTERS[args.emit](cdef, args.width).text
     except (CodegenError, LoweringError) as e:
         print(f"coroweave: {e}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ import enum
 import functools
 import io
 import keyword
+import tokenize
 from dataclasses import dataclass, field, fields
 
 __all__ = [
@@ -72,9 +73,24 @@ class DslError(ValueError):
     """Raised for malformed construction (bad names, empty text, misuse)."""
 
 
-def _check_expr(text: str, what: str = "expression") -> str:
+def _check_text(text: str, what: str) -> str:
     if not isinstance(text, str) or not text.strip():
         raise DslError(f"{what} text must be a non-empty string")
+    return text
+
+
+def _check_expr(text: str, what: str = "expression") -> str:
+    """``text`` if codegen can print it inside a line: with no comment, and
+    no line break outside brackets, either of which would end that line."""
+    if "#" in _check_text(text, what) or "\n" in text or "\r" in text:
+        depth = 0
+        try:
+            for tok in tokenize.generate_tokens(io.StringIO(text, newline=None).readline):
+                depth += (tok.string in ("(", "[", "{")) - (tok.string in (")", "]", "}"))
+                if tok.type == tokenize.COMMENT or tok.string == "\n" and depth < 1:
+                    raise DslError(f"{what} {text!r} has a comment or a line break outside brackets")
+        except (tokenize.TokenError, SyntaxError):
+            pass  # unbalanced or badly indented text fails later, where it always has
     return text
 
 
@@ -125,7 +141,7 @@ class Decl:
     init: str | None = None
 
     def __post_init__(self) -> None:
-        _check_expr(self.type_text, "type")
+        _check_text(self.type_text, "type")
         _check_user_ident(self.name, "declaration name")
         if self.init is not None:
             if self.kind is not DeclKind.VARIABLE:
@@ -140,7 +156,7 @@ class Opaque:
     text: str
 
     def __post_init__(self) -> None:
-        _check_expr(self.text, "opaque statement")
+        _check_text(self.text, "opaque statement")
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,7 +167,7 @@ class Block:
     def __post_init__(self) -> None:
         for s in self.stmts:
             # by exact type, as an isinstance over 15 classes costs about 8x as much
-            if type(s) not in _BUILDERS:
+            if type(s) not in _BUILDER_NAMES:
                 raise DslError(f"not a statement: {s!r}")
 
 
@@ -428,11 +444,6 @@ def _make_block(items) -> Block:
     return Block(tuple(stmts), tuple(decls))
 
 
-def opaque(text: str) -> Opaque:
-    """Verbatim statement text; multi-line text keeps its newlines."""
-    return Opaque(text)
-
-
 def block(*items) -> Block:
     """Explicit nested scope; ``let`` items become block-local variables."""
     return _make_block(items)
@@ -441,18 +452,6 @@ def block(*items) -> Block:
 def let(type_text: str, name: str, init: str | None = None) -> Decl:
     """Block-local variable declaration."""
     return Decl(DeclKind.VARIABLE, type_text, name, init)
-
-
-def break_() -> Break:
-    return Break()
-
-
-def continue_() -> Continue:
-    return Continue()
-
-
-def return_(value: str | None = None) -> Return:
-    return Return(value)
 
 
 def yield_(hint: str = "default") -> Yield:
@@ -476,20 +475,14 @@ def prefetch(*addrs: str) -> Prefetch:
     return Prefetch(tuple(addrs))
 
 
-def load(dst: str, addr: str, yield_before: bool = False) -> Load:
-    return Load(dst, addr, yield_before)
-
-
-def store(addr: str, value: str, yield_before: bool = False) -> Store:
-    return Store(addr, value, yield_before)
-
-
-def assign(dst: str, value: str) -> Assign:
-    return Assign(dst, value)
-
-
 def call(callee: str, *args: str) -> Call:
     return Call(callee, tuple(args))
+
+
+# A leaf that needs no conversion is built by its own class, which takes
+# the leaf's fields by name, in order, defaults last.
+opaque, break_, continue_, return_ = Opaque, Break, Continue, Return
+load, store, assign = Load, Store, Assign
 
 
 class IfBuilder:
@@ -737,17 +730,16 @@ def validate(cdef: CoroutineDef) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # Builder source: the printer, and a parser that admits only builder calls
 
-# The statement builders by the node each builds; its keys are the
-# statement classes, and a block holds nothing else.  The printer names
-# a leaf's builder from here; the parser calls these, coroutine and let,
-# and no other function.
-_BUILDERS = {
-    Block: block, If: if_, Switch: switch_, While: while_, DoWhile: do_,
-    Opaque: opaque, Break: break_, Continue: continue_, Return: return_,
-    Yield: yield_, Prefetch: prefetch, Load: load, Store: store, Assign: assign,
-    Call: call,
+# Each statement class, and a block holds nothing else, with the name of
+# the builder that makes it.  The printer names a statement's builder
+# from here; the parser calls these names, coroutine and let, and no
+# other function.
+_BUILDER_NAMES = {
+    Block: "block", If: "if_", Switch: "switch_", While: "while_", DoWhile: "do_",
+    Opaque: "opaque", Break: "break_", Continue: "continue_", Return: "return_",
+    Yield: "yield_", Prefetch: "prefetch", Load: "load", Store: "store", Assign: "assign",
+    Call: "call",
 }
-_BUILDER_NAMES = {f.__name__: f for f in (coroutine, let, *_BUILDERS.values())}
 # The parser calls public methods of these and of nothing else.
 _BUILDER_OBJECTS = (CoroutineBuilder, IfBuilder, WhileBuilder, DoWhileBuilder, SwitchBuilder)
 
@@ -804,7 +796,7 @@ def _stmt(s, indent: int) -> str:
             args += map(repr, v)
         else:
             args.append(repr(v.value if isinstance(v, enum.Enum) else v))
-    return f"{_BUILDERS[type(s)].__name__}({', '.join(args)})"
+    return f"{_BUILDER_NAMES[type(s)]}({', '.join(args)})"
 
 
 def to_builder_source(cdef: CoroutineDef) -> str:
@@ -836,9 +828,10 @@ def _value(node: ast.expr, lines: list[str]):
         # ast columns count UTF-8 bytes; report characters, as a syntax error does
         col = len(lines[bad.lineno - 1].encode()[:bad.col_offset].decode()) + 1
         raise DslError(f"builder source {bad.lineno}:{col}: {type(bad).__name__} is not allowed")
-    if node.func.id not in _BUILDER_NAMES:
-        raise DslError(f"builder source: name {node.func.id!r} is not defined")
-    value = _apply(_BUILDER_NAMES[node.func.id], node, lines)
+    name = node.func.id
+    if name not in _BUILDER_NAMES.values() and name not in ("coroutine", "let"):
+        raise DslError(f"builder source: name {name!r} is not defined")
+    value = _apply(globals()[name], node, lines)
     for c in reversed(chain):
         name = c.func.attr
         if not isinstance(value, _BUILDER_OBJECTS) or name.startswith("_") or not hasattr(value, name):

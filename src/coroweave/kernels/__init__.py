@@ -3,7 +3,9 @@
 A kernel bundles its coroutine def builder, its hand-written
 sequential baseline, a seeded dataset builder, query generation, and
 how to fold a result into a checksum.  The bench driver and the
-equivalence tests are generic over this table.
+equivalence tests are generic over this table, but for two knobs:
+``Kernel.definition`` passes ``select`` to bs alone, and
+``bench._build_queries`` passes ``limit`` to sli alone.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ class Kernel:
         return self.build_def()
 
 
-def _bs_queries(ds: SortedArray, count: int, seed: int) -> list[tuple]:
-    return [(k,) for k in mixed_query_keys(list(ds.keys), count, seed)]
+def _key_queries(ds: SortedArray | HashTable, count: int, seed: int) -> list[tuple]:
+    return [(k,) for k in mixed_query_keys(ds.keys, count, seed)]
 
 
 def _bt_queries(ds: Bst, count: int, seed: int) -> list[tuple]:
@@ -98,10 +100,6 @@ def _sli_queries(ds: SkipList, count: int, seed: int, limit: int = 8) -> list[tu
     return [(n, limit) for n in starts]
 
 
-def _ht_queries(ds: HashTable, count: int, seed: int) -> list[tuple]:
-    return [(k,) for k in mixed_query_keys(ds.keys, count, seed)]
-
-
 KERNELS: dict[str, Kernel] = {
     "bs": Kernel(
         name="bs",
@@ -110,7 +108,7 @@ KERNELS: dict[str, Kernel] = {
         baseline=baselines.binary_search,
         make_dataset=make_sorted_array,
         shared=lambda ds: (ds.keys, ds.size),
-        make_queries=_bs_queries,
+        make_queries=_key_queries,
         result_key=lambda r: r,
         bytes_per_element=8,
     ),
@@ -154,7 +152,7 @@ KERNELS: dict[str, Kernel] = {
         baseline=baselines.hashtable_find,
         make_dataset=make_hashtable,
         shared=lambda ds: (ds.keys_col, ds.vals_col, ds.size_1),
-        make_queries=_ht_queries,
+        make_queries=_key_queries,
         result_key=lambda r: r,
         bytes_per_element=16,
     ),

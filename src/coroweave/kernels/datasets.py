@@ -61,7 +61,10 @@ SKIP_MAX_HEIGHT = 16
 
 
 def _keys(n: int, rng: random.Random) -> list[int]:
-    """``n`` increasing keys, each gap drawn as ``rng.randrange(1, 8)`` draws it."""
+    """``n`` increasing keys, each gap drawn as ``rng.randrange(1, 8)`` draws it;
+    every builder starts here, so this refuses ``n < 1`` for them all."""
+    if n < 1:
+        raise ValueError("need at least one element")
     bits = rng.getrandbits
     keys = []
     k = 0
@@ -86,7 +89,7 @@ def _collector_paused():
             gc.enable()
 
 
-def mixed_query_keys(keys: list[int], count: int, seed: int) -> list[int]:
+def mixed_query_keys(keys: list[int] | array, count: int, seed: int) -> list[int]:
     """A deterministic blend of present and absent keys."""
     rng = random.Random(seed)
     top = keys[-1] + 8 if keys else 8
@@ -117,8 +120,6 @@ class SortedArray:
 
 
 def make_sorted_array(n: int, seed: int) -> SortedArray:
-    if n < 1:
-        raise ValueError("need at least one element")
     return SortedArray(array("Q", _keys(n, random.Random(seed))))
 
 
@@ -148,8 +149,6 @@ def make_bst(n: int, seed: int) -> Bst:
     positions come from ``rng.shuffle``'s draws over the key indexes,
     made inline one for one, then inverted into ``pos``.
     """
-    if n < 1:
-        raise ValueError("need at least one element")
     with _collector_paused():
         rng = random.Random(seed)
         keys = _keys(n, rng)
@@ -207,8 +206,6 @@ def make_skiplist(n: int, seed: int) -> SkipList:
     link points at itself, so walking past the end parks there instead
     of derailing).
     """
-    if n < 1:
-        raise ValueError("need at least one element")
     with _collector_paused():
         rng = random.Random(seed)
         keys = _keys(n, rng)
@@ -249,8 +246,6 @@ def make_hashtable(n: int, seed: int) -> HashTable:
     Slot 0-keys mean empty.  Values are derived from keys, so a lookup
     can be checked without a shadow map.
     """
-    if n < 1:
-        raise ValueError("need at least one element")
     keys = _keys(n, random.Random(seed))
     size = 1
     while size < 2 * n:

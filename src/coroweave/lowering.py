@@ -3,13 +3,14 @@
 ``split_stages`` flattens the structured statement tree into basic
 blocks with explicit terminators, in one linear pass, and allocates one
 resumption state per suspension point, in program order of first
-appearance.  State 0 is the entry; ``finished_id`` (== suspension count
-+ 1, the last state plus one) is a pseudo-state with no code.  One rule
-decides reachability: the block after an if, a switch or a do-while,
-and a do-while's test, is live only if a ``goto`` or ``br`` targets it,
-and each target is recorded when its terminator is sealed, so no block
-is rescanned.  Blocks plus a state->entry-block table are enough for
-a native code generator to print a portable dispatch loop.  The Python
+appearance, and keeps the hint of the yield into state k + 1 as
+``state_hints[k]``.  State 0 is the entry; ``finished_id`` (the last
+state plus one) is a pseudo-state with no code.  One rule decides
+reachability: the block after an if, a switch or a do-while, and a
+do-while's test, is live only if a ``goto`` or ``br`` targets it, and
+each target is recorded when its terminator is sealed, so no block is
+rescanned.  Blocks plus a state->entry-block table are enough for a
+native code generator to print a portable dispatch loop.  The Python
 emitters print generators instead; here the stage graph decides which
 schedules a definition qualifies for (``straight_line_error``,
 ``static_prefix_len``) and is what ``fsm_dump`` prints.  The FSM is
@@ -60,12 +61,12 @@ class CfgBlock:
 
 @dataclass(frozen=True, slots=True)
 class Stage:
-    """Per-state view: everything reachable without crossing a yield."""
+    """Per-state view: everything reachable without crossing a yield
+    (whose hints are kept once, in ``Fsm.state_hints``)."""
 
     id: int
     stmt_count: int
     successors: tuple[int, ...]
-    hint: YieldHint
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,7 +337,6 @@ def _build_stages(blocks, state_entry, finished_id) -> tuple[Stage, ...]:
         seen: set[int] = set()
         work = [entry]
         succ_states: set[int] = set()
-        hints: set[YieldHint] = set()
         reaches_finish = False
         while work:
             b = work.pop()
@@ -348,15 +348,13 @@ def _build_stages(blocks, state_entry, finished_id) -> tuple[Stage, ...]:
                     work.append(x)
                 case ("br", _, x, y):
                     work.extend((x, y))
-                case ("yield", target, hint):
+                case ("yield", target, _):
                     succ_states.add(target)
-                    hints.add(hint)
                 case ("finish",):
                     reaches_finish = True
         succs = sorted(succ_states) + ([finished_id] if reaches_finish else [])
-        hint = hints.pop() if len(hints) == 1 else YieldHint.DEFAULT
         stmt_count = sum(len(blocks[b].ops) for b in seen)
-        stages.append(Stage(sid, stmt_count, tuple(succs), hint))
+        stages.append(Stage(sid, stmt_count, tuple(succs)))
     return tuple(stages)
 
 
@@ -385,9 +383,7 @@ def compute_context(cdef: CoroutineDef, fsm: Fsm) -> ContextSpec:
     _collect_block_vars(cdef.body, variables)
     assigned = {op[1] for b in fsm.blocks for op in b.ops if op[0] == "assign"}
     internal = []
-    if fsm.suspension_count > 0 and any(
-        h in (YieldHint.DEFAULT, YieldHint.DYNAMIC) for h in fsm.state_hints
-    ):
+    if any(h in (YieldHint.DEFAULT, YieldHint.DYNAMIC) for h in fsm.state_hints):
         internal.append("_state")
     if cdef.result_decl is not None:
         internal.append("_result")
@@ -438,14 +434,13 @@ def straight_line_error(fsm: Fsm) -> str | None:
 def static_prefix_len(fsm: Fsm) -> int:
     """Leading run of stages pinned static (for hybrid scheduling).
 
-    A stage counts while it is hinted static and flows unconditionally
-    into the next stage; everything after runs under the dynamic
-    scheduler.  The last stage never counts: to flow only into
-    ``finished_id`` it must reach no yield, so its hint is DEFAULT.
+    A stage counts while it flows unconditionally, through a yield
+    hinted static, into the next; everything after runs under the
+    dynamic scheduler.  The last stage, which no yield leaves, never counts.
     """
     n = 0
-    for st in fsm.stages:
-        if st.hint is not YieldHint.STATIC or st.successors != (st.id + 1,):
+    for st, hint in zip(fsm.stages, fsm.state_hints):
+        if hint is not YieldHint.STATIC or st.successors != (st.id + 1,):
             break
         n += 1
     return n

@@ -222,8 +222,7 @@ def interleave_map(
 
         def lane(task, out, i):  # over the factory's instance
             inst = factory(*task)
-            while not inst.step():
-                yield False
+            yield from _steps(inst)
             out[i] = inst.result()
 
     pending = enumerate(tasks)

@@ -137,16 +137,16 @@ class TestRunBench:
         assert checksum("arith") == checksum("ternary")
 
     def test_push_pull_row_runs_run_push_pull(self, monkeypatch):
-        import coroweave.bench as bench
+        import coroweave.schedulers as schedulers
 
         calls = []
-        real = bench.run_push_pull
+        real = schedulers.run_push_pull
 
         def counted(*a):
             calls.append(1)
             return real(*a)
 
-        monkeypatch.setattr(bench, "run_push_pull", counted)
+        monkeypatch.setattr(schedulers, "run_push_pull", counted)
         run_bench(BenchConfig(kernel="bt", policies=("simplest",), **SMALL))
         assert calls == []
         rows = run_bench(BenchConfig(kernel="bt", policies=("push_pull",), **SMALL)).rows
@@ -449,6 +449,23 @@ class TestCli:
         assert rc == 1
         assert "equivalence failure" in capsys.readouterr().err
         assert dest.read_text() == "earlier rows\n"
+
+    @pytest.mark.parametrize("argv,want", [
+        ([], BenchConfig()),
+        (["--select", "ternary", "--limit", "3", "--seed", "9", "--size", "4k", "--policy", "all"],
+         BenchConfig(select="ternary", limit=3, seed=9, size_bytes=4096, policies=POLICIES)),
+        (["--kernel", "bt", "--policy", "push_pull", "--width", "5", "--queries", "7",
+          "--elements", "11"],
+         BenchConfig(kernel="bt", policies=("push_pull",), width=5, queries=7, elements=11)),
+        (["--policy", "none"], BenchConfig(policies=())),
+    ], ids=["defaults", "select-limit-seed-size-all", "kernel-width-queries-elements", "none"])
+    def test_bench_flags_land_in_their_config_fields(self, monkeypatch, capsys, argv, want):
+        from coroweave.bench import BenchReport
+
+        seen = []
+        monkeypatch.setattr(cli, "run_bench", lambda cfg: seen.append(cfg) or BenchReport())
+        assert main(["bench", *argv]) == 0
+        assert seen == [want]
 
     def test_selftest_command(self, capsys):
         rc = main(["selftest"])

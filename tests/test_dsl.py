@@ -117,6 +117,54 @@ class TestBuilders:
         # subscripts, attributes, arithmetic and tuples are all fine
         dsl.prefetch("a[base + half - 1]", "n.next", "(x, y)", "p.child[k < 3]")
 
+    # Codegen prints an expression inside a line, which a comment or a
+    # line break outside brackets would end early.
+    LINE_ENDERS = [
+        ("prefetch({!r})", "a[i]  # the probe"),
+        ("if_({!r}).then_()", "i > 0  # positive"),
+        ("while_({!r}).do_()", "i > 0 # pos"),
+        ("if_({!r}).then_()", "i >\n 0"),
+        ("if_({!r}).then_()", "i > 0\n"),
+        ("if_({!r}).then_()", "\ni > 0"),
+        ("if_({!r}).then_()", "i >\r 0"),
+        ("if_({!r}).then_()", "(i > 0  # in brackets\n)"),
+    ]
+
+    @staticmethod
+    def _line_def(form: str, text: str) -> str:
+        stmt = form.format(text)
+        return f"(coroutine('k').arg('list', 'a').arg('int', 'i').result('int').body({stmt}))"
+
+    @pytest.mark.parametrize("form,text", LINE_ENDERS)
+    def test_expression_refuses_a_comment_or_a_bare_line_break(self, form, text):
+        build = {"prefetch": prefetch, "if_": if_, "while_": while_}[form.split("(")[0]]
+        with pytest.raises(DslError, match="has a comment or a line break outside brackets"):
+            build(text)
+        with pytest.raises(DslError, match="has a comment or a line break outside brackets"):
+            parse_builder_source(self._line_def(form, text))
+
+    @pytest.mark.parametrize("make", [
+        lambda t: assign("x", t), lambda t: store("a[0]", t), lambda t: return_(t),
+        lambda t: load("x", t), lambda t: let("int", "v", t), lambda t: call("k", t),
+        lambda t: switch_(t), lambda t: switch_("i").case_(t), lambda t: do_().while_(t),
+    ])
+    def test_every_expression_field_refuses_a_comment(self, make):
+        with pytest.raises(DslError, match="has a comment"):
+            make("i  # note")
+
+    @pytest.mark.parametrize("text", ["(i >\n 0)", "(i >\n\n 0)", "i >\\\n 0",
+                                      "'#' != str(i)", "'''a\nb''' != str(i)"])
+    def test_expression_keeps_hashes_in_strings_and_breaks_in_brackets(self, text):
+        from coroweave.codegen import emit_routine, load_unit
+
+        d = parse_builder_source(self._line_def("if_({!r}).then_(return_('1'))", text))
+        assert load_unit(emit_routine(d))([], 1) == 1
+        assert parse_builder_source(to_builder_source(d)) == d
+
+    def test_opaque_and_type_text_may_hold_comments(self):
+        assert opaque("x = 1  # one\ny = 2").text == "x = 1  # one\ny = 2"
+        coroutine("k").arg("int  # a count", "n")
+
     def test_load_destination_must_be_identifier(self):
         with pytest.raises(DslError, match="must be an identifier"):
             load("a[0]", "p")

@@ -208,16 +208,19 @@ class TestSplitStages:
     def test_stage_hint_single(self):
         d = coroutine("k").body(yield_("static"), yield_("dynamic"))
         fsm = split_stages(d)
-        assert fsm.stages[0].hint is YieldHint.STATIC
-        assert fsm.stages[1].hint is YieldHint.DYNAMIC
         assert fsm.state_hints == (YieldHint.STATIC, YieldHint.DYNAMIC)
+        # stage 0 ends on the static yield only; stage 1 on a dynamic one
+        assert static_prefix_len(fsm) == 1
 
     def test_stage_hint_mixed_frontier_defaults(self):
         d = coroutine("k").arg("int", "x").body(
             if_("x > 0").then_(yield_("static")).else_(yield_("dynamic")),
         )
         fsm = split_stages(d)
-        assert fsm.stages[0].hint is YieldHint.DEFAULT
+        assert fsm.state_hints == (YieldHint.STATIC, YieldHint.DYNAMIC)
+        # stage 0 reaches both yields, so it is not pinned static
+        assert fsm.stages[0].successors == (1, 2)
+        assert static_prefix_len(fsm) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(defgen.coroutine_defs())
