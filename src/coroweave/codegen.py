@@ -301,6 +301,7 @@ def emit_hybrid(cdef: CoroutineDef, width: int) -> SourceText:
     ``run_prefix()`` takes every lane through the ``_PREFIX`` statically
     hinted leading stages in lockstep; then ``step_slot(i)`` advances
     lane ``i`` alone and returns True at and after its completion.
+    ``run_hybrid`` resumes this unit's lanes without ``step_slot``.
     """
     prefix = static_prefix_len(_check_batch(cdef, width))
     if prefix < 1:

@@ -79,9 +79,10 @@ def _check_text(text: str, what: str) -> str:
     return text
 
 
-def _check_expr(text: str, what: str = "expression") -> str:
+def _check_expr(text: str, what: str = "expression", address: bool = False) -> str:
     """``text`` if codegen can print it inside a line: with no comment, and
-    no line break outside brackets, either of which would end that line."""
+    no line break outside brackets, either of which would end that line;
+    and if it is one Python expression (a prefetch address, with ``address``)."""
     if "#" in _check_text(text, what) or "\n" in text or "\r" in text:
         depth = 0
         try:
@@ -90,8 +91,34 @@ def _check_expr(text: str, what: str = "expression") -> str:
                 if tok.type == tokenize.COMMENT or tok.string == "\n" and depth < 1:
                     raise DslError(f"{what} {text!r} has a comment or a line break outside brackets")
         except (tokenize.TokenError, SyntaxError):
-            pass  # unbalanced or badly indented text fails later, where it always has
+            pass  # unbalanced or badly indented text fails the parse below
+    if problem := _expr_problem(text, address):
+        raise DslError(f"{what} {text!r} {problem}")
     return text
+
+
+_SUSPENDS = (ast.Yield, ast.YieldFrom, ast.Await)  # the routine would not run as printed
+# also refused in a prefetch address, which a hooked mark evaluates and the routine never does
+_EFFECTS = (ast.Call, ast.NamedExpr, *_SUSPENDS)
+
+
+@functools.lru_cache(maxsize=1024)
+def _expr_problem(text: str, address: bool) -> str:
+    """Why ``text`` is not one expression (a prefetch address, with ``address``), or "".
+
+    Kept per text: definitions are rebuilt with the same texts, and a
+    cold parse costs about 12 us.  Leading blanks go: codegen prints the
+    text after other code on its line.
+    """
+    try:
+        tree = ast.parse(text.lstrip(" \t"), mode="eval")
+    except SyntaxError as e:
+        return f"is not an expression: {e.msg}"
+    refused = _EFFECTS if address else _SUSPENDS
+    if any(isinstance(n, refused) for n in ast.walk(tree)):
+        return ("has a call, walrus, yield or await; it must be free of side effects"
+                if address else "has a yield or await")
+    return ""
 
 
 def _check_user_ident(name: str, what: str) -> str:
@@ -255,28 +282,6 @@ class Yield:
     hint: YieldHint = YieldHint.DEFAULT
 
 
-# Expression nodes refused in a prefetch address.
-_EFFECTS = (ast.Call, ast.NamedExpr, ast.Yield, ast.YieldFrom, ast.Await)
-
-
-@functools.lru_cache(maxsize=1024)
-def _address_problem(text: str) -> str:
-    """Why ``text`` cannot be a prefetch address, or "" if it can.
-
-    Kept per text: definitions are rebuilt with the same addresses, and
-    a parse and a walk take about 20 us, some 40% of building bs's
-    definition.
-    """
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as e:
-        return f"is not an expression: {e.msg}"
-    if any(isinstance(n, _EFFECTS) for n in ast.walk(tree)):
-        # a hooked mark evaluates the address, and the routine never does
-        return "has a call, walrus, yield or await; it must be free of side effects"
-    return ""
-
-
 @dataclass(frozen=True, slots=True)
 class Prefetch:
     """Issue non-binding prefetches for one or more locations."""
@@ -287,9 +292,7 @@ class Prefetch:
         if not self.addrs:
             raise DslError("prefetch needs at least one address expression")
         for a in self.addrs:
-            problem = _address_problem(_check_expr(a, "prefetch address"))
-            if problem:
-                raise DslError(f"prefetch address {a!r} {problem}")
+            _check_expr(a, "prefetch address", address=True)
 
 
 @dataclass(frozen=True, slots=True)

@@ -132,7 +132,10 @@ class DynamicUnit:
 
 
 class BatchUnit:
-    """``BatchCoroutine`` over one ``lane`` per task; a hybrid also sets ``_PREFIX``."""
+    """``BatchCoroutine`` over one ``lane`` per task; a hybrid also sets ``_PREFIX``.
+
+    ``run_hybrid`` resumes ``_gens`` itself while ``step_slot`` is this one.
+    """
 
     __slots__ = ("_gens", "_result")
 

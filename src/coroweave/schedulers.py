@@ -13,9 +13,11 @@ lanes it builds, and steps any other instance through ``step()``.
 accepts.
 ``run_static_batch`` and ``run_hybrid`` share one loop over width
 groups of batch units and differ in how they drive a group: in
-lockstep, or a lockstep prefix then lane by lane.  Task identity is
-the caller's problem: the push/pull schedulers hand out slot indexes
-and instances, never task ids, because a slot is reused by many tasks.
+lockstep, or a lockstep prefix then lane by lane, resuming a generated
+unit's lane generators directly and any other unit's through
+``step_slot(i)``.  Task identity is the caller's problem: the
+push/pull schedulers hand out slot indexes and instances, never task
+ids, because a slot is reused by many tasks.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from .runtime import BatchCoroutine, DynamicUnit, StepCoroutine
+from .runtime import BatchCoroutine, BatchUnit, DynamicUnit, StepCoroutine
 
 __all__ = [
     "SchedulerConfig",
@@ -184,13 +186,22 @@ def run_hybrid(
     """Drive a prefix-lockstep unit: batch prefix, per-lane finish.
 
     After the prefix, each group steps its live lanes round-robin, in
-    lane order.  Arguments and result are as for ``run_static_batch``.
+    lane order.  A unit whose ``step_slot`` is ``BatchUnit.step_slot``
+    is advanced by resuming its lane generators ``_gens`` directly; any
+    other unit, a subclass that overrides ``step_slot`` included,
+    through ``step_slot(i)``.  Arguments and result are as for
+    ``run_static_batch``.
     """
     for n in _groups(config, unit, inputs, outputs, "hybrid"):
         unit.run_prefix()
-        live = range(n)
-        while live:
-            live = [i for i in live if not unit.step_slot(i)]
+        if type(unit).step_slot is BatchUnit.step_slot:
+            gens = unit._gens
+            while gens:
+                gens = [g for g in gens if not next(g, True)]
+        else:
+            live = range(n)
+            while live:
+                live = [i for i in live if not unit.step_slot(i)]
     return len(inputs)
 
 

@@ -1,6 +1,7 @@
 """Builder, validation, and printer round-trip tests."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -143,14 +144,39 @@ class TestBuilders:
         with pytest.raises(DslError, match="has a comment or a line break outside brackets"):
             parse_builder_source(self._line_def(form, text))
 
-    @pytest.mark.parametrize("make", [
+    EXPRESSION_FIELDS = [
         lambda t: assign("x", t), lambda t: store("a[0]", t), lambda t: return_(t),
         lambda t: load("x", t), lambda t: let("int", "v", t), lambda t: call("k", t),
         lambda t: switch_(t), lambda t: switch_("i").case_(t), lambda t: do_().while_(t),
-    ])
+    ]
+
+    @pytest.mark.parametrize("make", EXPRESSION_FIELDS)
     def test_every_expression_field_refuses_a_comment(self, make):
         with pytest.raises(DslError, match="has a comment"):
             make("i  # note")
+
+    # Text that is not one expression fails only when its unit is loaded,
+    # or smuggles a second statement or a suspension past the oracle.
+    NOT_ONE_EXPRESSION = [
+        (if_, "if_({!r}).then_()", "(i > 0", "is not an expression"),
+        (lambda t: assign("i", t), "assign('i', {!r})", "i +", "is not an expression"),
+        (return_, "return_({!r})", "i)", "is not an expression"),
+        (lambda t: assign("x", t), "assign('x', {!r})", "1; i = 99", "is not an expression"),
+        (if_, "if_({!r}).then_()", "(yield) is None", "has a yield or await"),
+    ]
+
+    @pytest.mark.parametrize("build,form,text,why", NOT_ONE_EXPRESSION)
+    def test_expression_must_be_one_expression(self, build, form, text, why):
+        with pytest.raises(DslError, match=re.escape(f"{text!r} {why}")):
+            build(text)
+        with pytest.raises(DslError, match=why):
+            parse_builder_source(self._line_def(form, text))
+
+    @pytest.mark.parametrize("make", EXPRESSION_FIELDS)
+    @pytest.mark.parametrize("text", ["(yield)", "[(yield from a)]", "await i"])
+    def test_every_expression_field_refuses_a_suspension(self, make, text):
+        with pytest.raises(DslError, match="has a yield or await"):
+            make(text)
 
     @pytest.mark.parametrize("text", ["(i >\n 0)", "(i >\n\n 0)", "i >\\\n 0",
                                       "'#' != str(i)", "'''a\nb''' != str(i)"])
@@ -160,6 +186,15 @@ class TestBuilders:
         d = parse_builder_source(self._line_def("if_({!r}).then_(return_('1'))", text))
         assert load_unit(emit_routine(d))([], 1) == 1
         assert parse_builder_source(to_builder_source(d)) == d
+
+    def test_expression_may_hold_a_walrus_a_lambda_or_leading_blanks(self):
+        from coroweave.codegen import emit_routine, load_unit
+
+        d = parse_builder_source(self._line_def(
+            "if_({!r}).then_(return_(' (lambda v: v + n)(i)'))", "(n := i + 1) > 1"))
+        assert load_unit(emit_routine(d))([], 3) == 7
+        # sli's loop condition is a walrus
+        assert ":=" in to_builder_source(KERNELS["sli"].definition("dynamic"))
 
     def test_opaque_and_type_text_may_hold_comments(self):
         assert opaque("x = 1  # one\ny = 2").text == "x = 1  # one\ny = 2"

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import defgen
+from test_codegen import FUZZ_TASKS, FUZZ_WIDTHS
 
 from coroweave import (
     SchedulerConfig,
@@ -38,6 +39,7 @@ from coroweave.dsl import (
     yield_,
 )
 from coroweave.bench import _push_pull_map
+from coroweave.runtime import BatchUnit, prefetch_hook
 from coroweave.schedulers import DEFAULT_WIDTH
 
 
@@ -407,6 +409,25 @@ class TestStepOrder:
         assert stepped(push_pull) == want
 
 
+def slot_stepped(cls, calls=None):
+    """``cls`` with a ``step_slot`` override that counts each task's resumes in ``calls``."""
+    group: list = []
+
+    class SlotStepped(cls):
+        __slots__ = ()
+
+        def init(self, tasks):
+            group[:] = [t for (t,) in tasks]
+            super().init(tasks)
+
+        def step_slot(self, i):
+            if calls is not None:
+                calls[group[i]] += 1
+            return super().step_slot(i)
+
+    return SlotStepped
+
+
 class TestStaticBatch:
     def make(self, width, trace):
         return load_unit(emit_static(traced_stage_def(), width))(trace)()
@@ -485,6 +506,58 @@ class TestHybrid:
         run_hybrid(SchedulerConfig(width=4), unit, [(3,), (9,), (4,)], outputs, pad)
         assert outputs == [30, 90, 40, "a", "b"]
         assert sorted(trace) == [(0, 3), (0, 4), (0, 9), (1, 3), (1, 4), (1, 9)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(defgen.hinted_prefix_defs(tally=True))
+    def test_direct_tail_and_step_slot_tail_agree(self, d):
+        # the generated class's tail resumes its lanes directly, and a
+        # subclass's through its step_slot(): same lanes, same order
+        for width in FUZZ_WIDTHS:
+            runs = []
+            for wrap in (lambda cls: cls, slot_stepped):
+                tally = [0] * defgen.TALLY_CELLS
+                unit = wrap(load_unit(emit_hybrid(d, width))(tally))()
+                out = [None] * len(FUZZ_TASKS)
+                marks: list = []
+                with prefetch_hook(marks.append):
+                    run_hybrid(SchedulerConfig(width=width), unit, FUZZ_TASKS, out)
+                runs.append((out, tally, marks))
+            assert runs[0] == runs[1], width
+
+    def test_overridden_step_slot_sees_every_resume(self):
+        # a subclass that overrides step_slot() is stepped through it,
+        # not through the lane generators underneath
+        d = looped_tail_def()
+        cls = load_unit(emit_hybrid(d, 4))()
+        dynamic = load_unit(emit_dynamic(d))()
+        calls = Counter()
+        unit = slot_stepped(cls, calls)()
+        outputs = [None] * 9
+        run_hybrid(SchedulerConfig(width=4), unit, [(t,) for t in range(9)], outputs)
+        routine = load_unit(emit_routine(d))
+        assert outputs == [routine(t) for t in range(9)]
+        # after the prefix, a task resumes once per suspension left, then once more to finish
+        assert calls == {
+            tid: count_suspensions(dynamic(tid)) - cls._PREFIX + 1 for tid in range(9)
+        }
+
+    def test_generated_unit_tail_never_calls_step_slot(self, monkeypatch):
+        calls = []
+        step_slot = BatchUnit.step_slot
+
+        def counted(unit, i):
+            calls.append(i)
+            return step_slot(unit, i)
+
+        # the generated class still inherits BatchUnit.step_slot, so its tail runs direct
+        monkeypatch.setattr(BatchUnit, "step_slot", counted)
+        d = looped_tail_def()
+        outputs = [None] * 9
+        unit = load_unit(emit_hybrid(d, 4))()()
+        run_hybrid(SchedulerConfig(width=4), unit, [(t,) for t in range(9)], outputs)
+        routine = load_unit(emit_routine(d))
+        assert outputs == [routine(t) for t in range(9)]
+        assert calls == []
 
     def test_width_mismatch_is_an_error(self):
         unit = load_unit(emit_hybrid(looped_tail_def(), 8))()()
