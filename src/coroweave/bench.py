@@ -4,10 +4,16 @@ A bench run always executes the sequential baseline first (its results
 double as the expected values), then each requested scheduling policy,
 and fails loudly if any policy disagrees with the baseline on any
 query.  Rows are deterministic in (kernel, seed, queries, elements):
-the checksum folds every result in query order.  The ``simplest`` row
-runs ``interleave_map``, which steps the unit's lane generators
-directly; the ``push_pull`` row steps instances through
-``run_simplest``: ``run_push_pull``, with a consumer that accepts all.
+the checksum folds every result in query order.
+
+One table says what each policy runs: its emitter prints the unit from
+the kernel's definition, and its driver runs that unit's loaded class
+over the queries.  ``simplest`` drives the dynamic unit through
+``interleave_map``, which steps the lane generators directly;
+``push_pull`` drives it through ``run_simplest``: ``run_push_pull``,
+with a consumer that accepts all.  ``static`` and ``hybrid`` drive
+their batch units through ``run_static_batch`` and ``run_hybrid``.  A
+kernel whose definition an emitter refuses does not run that policy.
 
 Python cannot overlap cache misses, so the throughput columns here
 measure scheduling overhead, not the memory-level parallelism the
@@ -22,12 +28,14 @@ import io
 import json
 import os
 import time
+from functools import partial
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
 from .codegen import CodegenError, SourceText, emit_dynamic, emit_hybrid, emit_static, load_unit
 from .dsl import CoroutineDef
 from .kernels import KERNELS, Kernel, fold_checksum
+from .kernels.defs import SELECTS
 from .schedulers import (
     DEFAULT_WIDTH,
     SchedulerConfig,
@@ -50,11 +58,6 @@ __all__ = [
     "selftest",
 ]
 
-POLICIES = ("simplest", "push_pull", "static", "hybrid")
-
-DEFAULT_ELEMENTS = 1 << 14
-
-
 class ConfigError(ValueError):
     pass
 
@@ -70,8 +73,7 @@ class BenchConfig:
     width: int = DEFAULT_WIDTH
     seed: int = 1
     queries: int = 100_000
-    elements: int | None = None
-    size_bytes: int | None = None
+    elements: int = 1 << 14
     select: str = "arith"
     limit: int = 8
 
@@ -88,10 +90,12 @@ class BenchConfig:
             raise ConfigError(f"width must be >= 1, got {self.width}")
         if self.queries < 1:
             raise ConfigError(f"queries must be >= 1, got {self.queries}")
-        if self.elements is not None and self.elements < 1:
-            raise ConfigError("elements must be >= 1")
-        if self.size_bytes is not None and self.size_bytes < 1:
-            raise ConfigError(f"size must be >= 1 byte, got {self.size_bytes}")
+        if self.elements < 1:
+            raise ConfigError(f"elements must be >= 1, got {self.elements}")
+        if self.select not in SELECTS:
+            raise ConfigError(f"unknown select {self.select!r}; choose from {', '.join(SELECTS)}")
+        if self.limit < 0:
+            raise ConfigError(f"limit must be >= 0, got {self.limit}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,94 +123,24 @@ class BenchReport:
     phases_ns: dict[str, int] = field(default_factory=dict)
 
 
-def _element_count(cfg: BenchConfig, k: Kernel) -> int:
-    if cfg.elements is not None:
-        return cfg.elements
-    if cfg.size_bytes is not None:
-        return max(16, cfg.size_bytes // k.bytes_per_element)
-    return DEFAULT_ELEMENTS
-
-
-def _check_memory(cfg: BenchConfig, k: Kernel, n: int) -> None:
+def _check_memory(cfg: BenchConfig, k: Kernel) -> None:
     # Modeled element sizes understate Python object overhead by about
     # an order of magnitude; refuse configs that clearly cannot fit.
     try:
         avail = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (ValueError, OSError):
         return
-    need = n * k.bytes_per_element * 10 + cfg.queries * 64
+    need = cfg.elements * k.bytes_per_element * 10 + cfg.queries * 64
     if need > avail:
         raise ConfigError(
-            f"{n} elements of kernel {k.name!r} needs roughly {need // 2**20}"
+            f"{cfg.elements} elements of kernel {k.name!r} needs roughly {need // 2**20}"
             f" MiB, more than the {avail // 2**20} MiB available"
         )
 
 
-def _build_queries(cfg: BenchConfig, k: Kernel, ds: Any) -> list[tuple]:
-    if k.name == "sli":
-        return k.make_queries(ds, cfg.queries, cfg.seed + 1, limit=cfg.limit)
-    return k.make_queries(ds, cfg.queries, cfg.seed + 1)
-
-
-# The lockstep policies, by the emitter that decides whether a kernel runs under each.
-_LOCKSTEP = {"static": emit_static, "hybrid": emit_hybrid}
-
-
-def _lockstep_units(cfg: BenchConfig, k: Kernel, cdef: CoroutineDef) -> dict[str, SourceText]:
-    """Each requested static or hybrid unit of ``k``, by policy.
-
-    The emitter's refusal is the config error, unless the kernel or the
-    policy set is "all": then the refused unit is skipped.
-    """
-    skip = cfg.kernel == "all" or set(cfg.policies) == set(POLICIES)
-    units = {}
-    for policy in cfg.policies:
-        if policy in _LOCKSTEP:
-            unit_def = cdef if policy == "static" else k.definition(policy, cfg.select)
-            try:
-                units[policy] = _LOCKSTEP[policy](unit_def, cfg.width)
-            except CodegenError as err:
-                if not skip:
-                    raise ConfigError(str(err)) from None
-    return units
-
-
-def _policy_runner(
-    cfg: BenchConfig, k: Kernel, policy: str, shared: tuple, dynamic: Any,
-    unit_src: SourceText | None,
-) -> Callable[[list[tuple]], list[int]]:
-    """Build a callable mapping a query slice to result-key ints.
-
-    ``dynamic`` is the class loaded for both dynamic policies, and
-    ``unit_src`` the emitted unit of a lockstep policy.
-    """
-    result_key = k.result_key
-    if policy == "sequential":
-        baseline = k.baseline
-
-        def run(queries: list[tuple]) -> list[int]:
-            return [result_key(baseline(*shared, *q)) for q in queries]
-
-        return run
-    sched = SchedulerConfig(width=cfg.width)
-    if policy in ("simplest", "push_pull"):
-        mapper = interleave_map if policy == "simplest" else _push_pull_map
-
-        def run(queries: list[tuple]) -> list[int]:
-            return [result_key(r) for r in mapper(sched, dynamic, queries)]
-
-        return run
-    if policy in _LOCKSTEP:
-        drive = run_static_batch if policy == "static" else run_hybrid
-        unit = load_unit(unit_src)(*shared)()
-
-        def run(queries: list[tuple]) -> list[int]:
-            out: list[Any] = [None] * len(queries)
-            drive(sched, unit, queries, out)
-            return [result_key(r) for r in out]
-
-        return run
-    raise ConfigError(f"unknown policy {policy!r}")
+def _sequential(baseline: Callable[..., Any], shared: tuple, queries: list[tuple]) -> list:
+    """The baseline row's run: ``baseline`` called on each query in turn."""
+    return [baseline(*shared, *q) for q in queries]
 
 
 def _push_pull_map(sched: SchedulerConfig, cls: Any, queries: list[tuple]) -> list:
@@ -225,39 +159,71 @@ def _push_pull_map(sched: SchedulerConfig, cls: Any, queries: list[tuple]) -> li
     return out
 
 
+def _lockstep(drive: Callable[..., int]) -> Callable[[SchedulerConfig, Any, list[tuple]], list]:
+    """The driver that runs ``drive`` over one instance of a batch unit class."""
+
+    def run(sched: SchedulerConfig, cls: Any, queries: list[tuple]) -> list:
+        out: list[Any] = [None] * len(queries)
+        drive(sched, cls(), queries, out)
+        return out
+
+    return run
+
+
+# Each policy's (emitter, driver): the emitter prints the unit the policy
+# runs, at the bench width, and its refusal means the kernel cannot run
+# under the policy; the driver maps (SchedulerConfig, the unit's loaded
+# class, queries) to results in query order.
+_TABLE: dict[str, tuple[Callable[[CoroutineDef, int], SourceText], Callable[..., list]]] = {
+    "simplest": (lambda cdef, width: emit_dynamic(cdef), interleave_map),
+    "push_pull": (lambda cdef, width: emit_dynamic(cdef), _push_pull_map),
+    "static": (emit_static, _lockstep(run_static_batch)),
+    "hybrid": (emit_hybrid, _lockstep(run_hybrid)),
+}
+POLICIES = tuple(_TABLE)
+
+
 def run_bench(cfg: BenchConfig) -> BenchReport:
     """Run baseline plus requested policies; verify; produce rows."""
     report = BenchReport()
+    sched = SchedulerConfig(width=cfg.width)
+    # a refusal is the config error, unless the kernel or the policy set
+    # is "all": then the refused policy is skipped
+    skip = cfg.kernel == "all" or set(cfg.policies) == set(POLICIES)
     names = list(KERNELS) if cfg.kernel == "all" else [cfg.kernel]
     for name in names:
         k = KERNELS[name]
         # the plain definition, built once so that simplest, push_pull and
         # static share its printed and compiled lane
         cdef = k.definition("simplest", cfg.select)
-        units = _lockstep_units(cfg, k, cdef)
-        n = _element_count(cfg, k)
-        _check_memory(cfg, k, n)
+        units = {}
+        for policy in cfg.policies:
+            unit_def = k.definition(policy, cfg.select) if policy == "hybrid" else cdef
+            try:
+                units[policy] = _TABLE[policy][0](unit_def, cfg.width)
+            except CodegenError as err:
+                if not skip:
+                    raise ConfigError(str(err)) from None
+        _check_memory(cfg, k)
         t0 = time.perf_counter_ns()
-        ds = k.make_dataset(n, cfg.seed)
+        ds = k.make_dataset(cfg.elements, cfg.seed)
         shared = k.shared(ds)
-        queries = _build_queries(cfg, k, ds)
+        queries = k.queries(ds, cfg.queries, cfg.seed + 1, cfg.limit)
         report.phases_ns[f"{name}:build"] = time.perf_counter_ns() - t0
         warmup = queries[: min(1000, len(queries) // 10)]
 
-        policies = ["sequential"]
-        policies += [p for p in cfg.policies if p not in _LOCKSTEP or p in units]
-        dynamic = None
-        if "simplest" in policies or "push_pull" in policies:
-            dynamic = load_unit(emit_dynamic(cdef))(*shared)
+        runs = {"sequential": partial(_sequential, k.baseline, shared)}
+        for policy, src in units.items():
+            runs[policy] = partial(_TABLE[policy][1], sched, load_unit(src)(*shared))
+        result_key = k.result_key
         expected: list[int] | None = None
-        for policy in policies:
-            runner = _policy_runner(cfg, k, policy, shared, dynamic, units.get(policy))
+        for policy, run in runs.items():
             t0 = time.perf_counter_ns()
             if warmup:
-                runner(warmup)
+                run(warmup)
             report.phases_ns[f"{name}:{policy}:warmup"] = time.perf_counter_ns() - t0
             t0 = time.perf_counter_ns()
-            results = runner(queries)
+            results = [result_key(r) for r in run(queries)]
             elapsed = time.perf_counter_ns() - t0
             if policy == "sequential":
                 expected = results

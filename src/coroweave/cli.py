@@ -29,21 +29,6 @@ from .lowering import LoweringError, fsm_dump, split_stages
 
 __all__ = ["main"]
 
-_SUFFIX = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}
-
-
-def _parse_size(text: str) -> int:
-    t = text.strip().lower()
-    mult = 1
-    if t and t[-1] in _SUFFIX:
-        mult = _SUFFIX[t[-1]]
-        t = t[:-1]
-    try:
-        return int(t) * mult
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a size: {text!r}") from None
-
-
 def _policies(text: str) -> tuple[str, ...]:
     return {"all": POLICIES, "none": ()}.get(text, (text,))
 
@@ -72,8 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int)
     b.add_argument("--queries", type=int)
     b.add_argument("--elements", type=int)
-    b.add_argument("--size", dest="size_bytes", type=_parse_size, metavar="SIZE",
-                   help="target dataset bytes (k/m/g suffixes), modeled per element")
     b.add_argument("--select", choices=SELECTS)
     b.add_argument("--limit", type=int, help="hops for the advance kernel")
     b.add_argument("--format", choices=("csv", "json"), default="csv")

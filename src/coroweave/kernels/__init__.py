@@ -3,9 +3,9 @@
 A kernel bundles its coroutine def builder, its hand-written
 sequential baseline, a seeded dataset builder, query generation, and
 how to fold a result into a checksum.  The bench driver and the
-equivalence tests are generic over this table, but for two knobs:
-``Kernel.definition`` passes ``select`` to bs alone, and
-``bench._build_queries`` passes ``limit`` to sli alone.
+equivalence tests are generic over this table.  ``Kernel`` owns the
+two per-kernel knobs: ``Kernel.definition`` passes ``select`` to bs
+alone, and ``Kernel.queries`` passes ``limit`` to sli alone.
 """
 
 from __future__ import annotations
@@ -80,6 +80,12 @@ class Kernel:
         if self.name == "bs":
             return self.build_def(select)
         return self.build_def()
+
+    def queries(self, ds: Any, count: int, seed: int, limit: int = 8) -> list[tuple]:
+        """``count`` seeded queries over the dataset ``ds``, given ``limit`` for sli."""
+        if self.name == "sli":
+            return self.make_queries(ds, count, seed, limit=limit)
+        return self.make_queries(ds, count, seed)
 
 
 def _key_queries(ds: SortedArray | HashTable, count: int, seed: int) -> list[tuple]:

@@ -8,6 +8,7 @@ import csv
 import dataclasses
 import io
 import json
+import os
 
 import pytest
 
@@ -49,13 +50,18 @@ class TestBenchConfig:
             dict(width=0),
             dict(queries=0),
             dict(elements=0),
-            dict(size_bytes=0),
-            dict(size_bytes=-5),
+            dict(limit=-3),
         ],
     )
     def test_counts_must_be_positive(self, bad):
         with pytest.raises(ConfigError):
             BenchConfig(**bad)
+
+    @pytest.mark.parametrize("kernel", ["bt", "bs"])
+    def test_unknown_select(self, kernel):
+        with pytest.raises(ConfigError, match="unknown select 'bogus'; choose from arith, ternary"):
+            BenchConfig(kernel=kernel, policies=("simplest",), select="bogus", queries=50,
+                        elements=64)
 
     @pytest.mark.parametrize("policy", ["static", "hybrid"])
     def test_branchy_kernel_rejects_lockstep_policies(self, policy):
@@ -124,10 +130,37 @@ class TestRunBench:
         assert "sli:sequential:warmup" in report.phases_ns
         assert "sli:simplest:warmup" in report.phases_ns
 
-    def test_size_bytes_scales_elements(self):
-        cfg = BenchConfig(kernel="bs", policies=(), queries=50, size_bytes=1 << 12)
-        rows = run_bench(cfg).rows
-        assert rows  # 4 KiB / 8 bytes per element: runs at 512 elements
+    def test_limit_reaches_sli(self):
+        def checksums(limit):
+            cfg = BenchConfig(kernel="sli", policies=("simplest", "push_pull"), limit=limit,
+                              **SMALL)
+            return {r.checksum for r in run_bench(cfg).rows}
+
+        one, eight = checksums(1), checksums(8)
+        # every row agrees with its sequential row, and the limit changes the answer
+        assert len(one) == len(eight) == 1
+        assert one != eight
+
+    def test_memory_check_refuses_before_building_a_dataset(self, monkeypatch):
+        def no_dataset(n, seed):
+            raise AssertionError("dataset built")
+
+        bs = dataclasses.replace(KERNELS["bs"], make_dataset=no_dataset)
+        monkeypatch.setitem(KERNELS, "bs", bs)
+        # two pages of 4 KiB: less than the 30 KiB that 192 elements and 240 queries need
+        monkeypatch.setattr(os, "sysconf", {"SC_AVPHYS_PAGES": 2, "SC_PAGE_SIZE": 4096}.get)
+        with pytest.raises(ConfigError, match="192 elements of kernel 'bs' needs roughly 0 MiB,"
+                                              " more than the 0 MiB available"):
+            run_bench(BenchConfig(kernel="bs", policies=("simplest",), **SMALL))
+
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    def test_memory_check_is_skipped_without_sysconf(self, monkeypatch, error):
+        def no_sysconf(name):
+            raise error(name)
+
+        monkeypatch.setattr(os, "sysconf", no_sysconf)
+        rows = run_bench(BenchConfig(kernel="bs", policies=("simplest",), **SMALL)).rows
+        assert [r.policy for r in rows] == ["-", "simplest"]
 
     def test_select_changes_nothing_observable(self):
         def checksum(select):
@@ -228,13 +261,6 @@ class TestCli:
         assert "# bs:build" in err
         assert "x vs sequential" in err
 
-    def test_bench_size_suffix(self, capsys):
-        rc = main(
-            ["bench", "--kernel", "bs", "--policy", "none", "--queries", "50",
-             "--size", "4k"]
-        )
-        assert rc == 0
-
     def test_bench_policy_all_runs_what_one_kernel_admits(self, capsys):
         rc = main(
             ["bench", "--kernel", "bs", "--policy", "all", "--queries", "240",
@@ -281,7 +307,7 @@ class TestCli:
 
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as e:
-            main(["bench", "--size", "4x"])
+            main(["bench", "--size", "4k"])
         assert e.value.code == 2
 
     def test_version_flag(self, capsys):
@@ -452,13 +478,13 @@ class TestCli:
 
     @pytest.mark.parametrize("argv,want", [
         ([], BenchConfig()),
-        (["--select", "ternary", "--limit", "3", "--seed", "9", "--size", "4k", "--policy", "all"],
-         BenchConfig(select="ternary", limit=3, seed=9, size_bytes=4096, policies=POLICIES)),
+        (["--select", "ternary", "--limit", "3", "--seed", "9", "--policy", "all"],
+         BenchConfig(select="ternary", limit=3, seed=9, policies=POLICIES)),
         (["--kernel", "bt", "--policy", "push_pull", "--width", "5", "--queries", "7",
           "--elements", "11"],
          BenchConfig(kernel="bt", policies=("push_pull",), width=5, queries=7, elements=11)),
         (["--policy", "none"], BenchConfig(policies=())),
-    ], ids=["defaults", "select-limit-seed-size-all", "kernel-width-queries-elements", "none"])
+    ], ids=["defaults", "select-limit-seed-all", "kernel-width-queries-elements", "none"])
     def test_bench_flags_land_in_their_config_fields(self, monkeypatch, capsys, argv, want):
         from coroweave.bench import BenchReport
 
